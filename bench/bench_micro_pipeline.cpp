@@ -1,9 +1,7 @@
-// Micro benchmarks (google-benchmark) for the host-side machinery: packet
-// queue transfer, solution-pool insertion, and adaptive selection — the
-// paper's host/GPU communication path (§III-C, §IV).
+// Micro benchmarks (google-benchmark) for the host-side GA machinery:
+// solution-pool insertion and adaptive selection (paper §IV).
 #include <benchmark/benchmark.h>
 
-#include "device/packet_queue.hpp"
 #include "evolve/adaptive_selector.hpp"
 #include "evolve/genetic_ops.hpp"
 #include "evolve/solution_pool.hpp"
@@ -11,18 +9,6 @@
 
 namespace dabs {
 namespace {
-
-void BM_PacketQueueRoundTrip(benchmark::State& state) {
-  PacketQueue q(64);
-  Rng rng(1);
-  Packet p;
-  p.solution = random_bit_vector(2000, rng);
-  for (auto _ : state) {
-    (void)q.try_push(p);
-    benchmark::DoNotOptimize(q.try_pop());
-  }
-}
-BENCHMARK(BM_PacketQueueRoundTrip);
 
 void BM_PoolInsert(benchmark::State& state) {
   const std::size_t n = 2000;

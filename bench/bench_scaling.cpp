@@ -1,10 +1,11 @@
 // Scaling ablation: batch throughput and solution quality as the device
 // count and blocks-per-device grow — the CPU-substrate analogue of the
-// paper's "8 NVIDIA A100" parallel deployment (§V).  On a single core the
-// threaded pipeline cannot show real speedups, so the bench reports
-// *throughput* (batches/s) and *work distribution* to demonstrate that the
-// architecture scales structurally; on a multicore host the same binary
-// shows genuine parallel speedup.
+// paper's "8 NVIDIA A100" parallel deployment (§V).  A threaded solve runs
+// one thread per batch searcher (devices x blocks); on a single core they
+// cannot show real speedups, so the bench reports *throughput* (batches/s)
+// and *work distribution* to demonstrate that the architecture scales
+// structurally; on a multicore host the same binary shows genuine parallel
+// speedup.
 #include "bench_common.hpp"
 #include "problems/maxcut.hpp"
 
@@ -14,7 +15,7 @@ namespace {
 namespace pr = problems;
 
 void run() {
-  bench::print_banner("Scaling — devices x blocks (threaded pipeline)");
+  bench::print_banner("Scaling — devices x blocks (one thread per searcher)");
   const auto inst = pr::make_random_maxcut(
       bench::full_size() ? 2000 : 400,
       bench::full_size() ? 19990 : 4000, pr::EdgeWeights::kPlusOne, 22,

@@ -45,7 +45,7 @@ int main() {
   // 2. Build a solver from the registry.  Options are generic strings, so
   //    the same code path drives any solver name ("sa", "tabu", ...).
   //    Registry-built bulk solvers run synchronously (bit-reproducible)
-  //    unless the "threads" option asks for the host/device pipeline.
+  //    unless the "threads" option asks for one thread per batch searcher.
   const std::unique_ptr<dabs::Solver> solver =
       dabs::SolverRegistry::global().create(
           "dabs", {{"devices", "2"}, {"blocks", "2"}});

@@ -1,23 +1,23 @@
 #include "core/dabs_solver.hpp"
 
 #include <atomic>
+#include <exception>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "device/device_group.hpp"
+#include "device/packet.hpp"
 #include "evolve/diversity_engine.hpp"
 #include "rng/seeder.hpp"
+#include "search/batch_search.hpp"
+#include "search/bulk_batch_search.hpp"
 #include "util/assert.hpp"
 
 namespace dabs {
 
 namespace {
-
-/// Seconds a host thread blocks on its outbox when the device inbox is
-/// full — long enough to sleep instead of spin, short enough that stop
-/// requests are honored within one device batch.
-constexpr double kOutboxWaitSeconds = 0.005;
 
 EngineConfig engine_config(const SolverConfig& cfg) {
   EngineConfig e;
@@ -33,35 +33,32 @@ EngineConfig engine_config(const SolverConfig& cfg) {
   return e;
 }
 
-/// State shared by the host pool threads for one solve() call.  The
-/// StopContext's driving-thread surface (should_stop / add_work /
-/// note_best) is serialized under `mu` so every host thread can act as the
-/// driver; worker-safe polls go through expired() / the `stop` latch.
-struct HostContext {
+/// State shared by the workers of one solve() call.  The StopContext's
+/// driving-thread surface (should_stop / add_work / note_best) is
+/// serialized under `mu` so every worker can act as the driver;
+/// worker-safe polls go through expired() / the `stop` latch.
+struct RunContext {
   DiversityEngine& engine;
   StopContext& ctx;
-  std::mutex mu;  // guards ctx and the best (solution, energy) pair
+  std::mutex mu;  // guards ctx, the best (solution, energy) pair, error
 
   std::atomic<bool> stop{false};
 
   BitVector best;
   Energy best_energy = kInfiniteEnergy;
+  std::exception_ptr error;  // first exception a threaded worker raised
   std::uint64_t merge_check_interval = 64;
 
-  HostContext(DiversityEngine& e, StopContext& c, std::size_t bits,
-              std::uint64_t merge_interval)
+  RunContext(DiversityEngine& e, StopContext& c, std::size_t bits,
+             std::uint64_t merge_interval)
       : engine(e), ctx(c), best(bits), merge_check_interval(merge_interval) {}
 
-  /// Worker-safe stop poll for inner loops (migration entries, inbox
-  /// back-pressure waits): the latch plus the thread-safe StopContext
-  /// subset, no callbacks.
-  bool stopping() {
-    if (stop.load(std::memory_order_acquire)) return true;
-    if (ctx.expired()) {
-      stop.store(true, std::memory_order_release);
-      return true;
-    }
-    return false;
+  /// Worker-safe stop poll for inner loops (migration entries): the latch
+  /// plus the thread-safe StopContext subset, no callbacks.  It does not
+  /// set the latch itself, so the next check_stop() still runs
+  /// should_stop() and records why the run ended (e.g. cancelled).
+  bool stopping() const {
+    return stop.load(std::memory_order_acquire) || ctx.expired();
   }
 
   /// Full driving-thread check: budget, wall clock, token, target, ticks.
@@ -72,7 +69,21 @@ struct HostContext {
     return stop.load(std::memory_order_relaxed);
   }
 
-  /// Hands a device result to the engine and updates the global best.
+  /// Records a worker's exception (the first one wins) and stops the run;
+  /// the caller rethrows it once every worker has joined.
+  void fail(std::exception_ptr e) {
+    std::lock_guard lock(mu);
+    if (!error) error = std::move(e);
+    stop.store(true, std::memory_order_release);
+  }
+
+  /// Charges `batches` generated targets against the batch budget.
+  void add_work(std::uint64_t batches) {
+    std::lock_guard lock(mu);
+    ctx.add_work(batches);
+  }
+
+  /// Hands a batch result to the engine and updates the global best.
   /// note_best() latches the target / TTS and fires on_new_best — the
   /// observer contract (fast, thread-safe) keeps the lock hold short.
   void on_result(const Packet& p) {
@@ -86,102 +97,136 @@ struct HostContext {
       if (ctx.reached_target()) stop.store(true, std::memory_order_release);
     }
   }
-
-  /// Builds the next host->device packet for island `i` and charges one
-  /// work unit against the batch budget.
-  Packet make_packet(std::uint32_t i, Rng& rng) {
-    Packet p = engine.next_packet(i, rng);
-    std::lock_guard lock(mu);
-    ctx.add_work(1);
-    return p;
-  }
 };
 
-void host_pool_thread(HostContext& hc, DeviceGroup& group, std::uint32_t i,
-                      std::uint64_t seed) {
-  Rng rng(seed);
-  VirtualDevice& dev = group.device(i);
-  const auto cancelled = [&hc] { return hc.stopping(); };
-  std::uint64_t since_merge_check = 0;
-  Packet res;
-  while (!hc.stop.load(std::memory_order_acquire)) {
-    // (a) Retire finished batches.  kClosed means the device already shut
-    // down (another thread is tearing the run down) — nothing more to do.
-    for (;;) {
-      const auto st = dev.outbox().try_pop(res);
-      if (st == PacketQueue::PopStatus::kClosed) return;
-      if (st != PacketQueue::PopStatus::kItem) break;
-      hc.on_result(res);
+/// One island of the ring as its searchers see it.  The engine lets only
+/// one thread at a time drive an island, so next_packet, maybe_migrate and
+/// the island's generation RNG are used under `mu`.
+struct Island {
+  std::mutex mu;
+  Rng rng;
+  std::uint64_t generated = 0;  // targets drawn from this island
+};
+
+/// One CUDA-block equivalent: a persistent batch searcher — scalar, or R
+/// bulk lanes — bound to the island it draws its targets from.
+class Searcher {
+ public:
+  Searcher(const QuboModel& model, const DeviceConfig& device,
+           std::uint32_t island, std::uint64_t seed)
+      : island_(island), lanes_(device.replicas) {
+    if (device.replicas > 1) {
+      bulk_ = std::make_unique<BulkBatchSearch>(model, device.batch,
+                                                device.replicas, seed);
+      targets_.resize(device.replicas);
+    } else {
+      scalar_ = std::make_unique<BatchSearch>(model, device.batch, seed);
     }
-    if (hc.check_stop()) break;
-    // (b) Feed the device.
-    Packet pkt = hc.make_packet(i, rng);
-    while (!hc.stop.load(std::memory_order_acquire)) {
-      if (dev.inbox().try_push(pkt)) break;
-      // Inbox full: block on the outbox (bounded wait, no spinning) so the
-      // pipeline drains while we hold the un-submitted packet.
-      switch (dev.outbox().pop_wait(res, kOutboxWaitSeconds)) {
-        case PacketQueue::PopStatus::kItem:
-          hc.on_result(res);
-          break;
-        case PacketQueue::PopStatus::kClosed:
-          return;
-        case PacketQueue::PopStatus::kEmpty:
-          break;
+  }
+
+  std::uint32_t island() const noexcept { return island_; }
+
+  /// One batch per lane: draws every lane's target from the island, runs
+  /// them, and hands each result back to the engine.  Returns the island's
+  /// generated-target count right after this step's draws.
+  std::uint64_t step(RunContext& rc, Island& isl) {
+    std::uint64_t generated = 0;
+    {
+      std::lock_guard lock(isl.mu);
+      for (Packet& p : lanes_) p = rc.engine.next_packet(island_, isl.rng);
+      generated = isl.generated += lanes_.size();
+    }
+    rc.add_work(lanes_.size());
+    if (bulk_) {
+      for (std::size_t k = 0; k < lanes_.size(); ++k) {
+        targets_[k] = std::move(lanes_[k].solution);
       }
-      if (hc.check_stop()) break;
+      std::vector<BatchResult> results = bulk_->run(targets_);
+      for (std::size_t k = 0; k < lanes_.size(); ++k) {
+        lanes_[k].solution = std::move(results[k].best);
+        lanes_[k].energy = results[k].best_energy;
+      }
+    } else {
+      BatchResult r = scalar_->run(lanes_[0].solution, lanes_[0].algo);
+      lanes_[0].solution = std::move(r.best);
+      lanes_[0].energy = r.best_energy;
     }
-    // (c) Housekeeping: ring migration for this island, merged-ring
-    // restart checked by island 0 only.
-    hc.engine.maybe_migrate(i, cancelled);
-    if (i == 0 && ++since_merge_check >= hc.merge_check_interval) {
-      since_merge_check = 0;
-      hc.engine.check_restart();
+    for (const Packet& p : lanes_) rc.on_result(p);
+    std::lock_guard lock(isl.mu);
+    rc.engine.maybe_migrate(island_, [&rc] { return rc.stopping(); });
+    return generated;
+  }
+
+ private:
+  std::uint32_t island_;
+  // Exactly one of the two searchers exists (replicas == 1 vs > 1).
+  std::unique_ptr<BatchSearch> scalar_;
+  std::unique_ptr<BulkBatchSearch> bulk_;
+  std::vector<Packet> lanes_;       // one packet per lane, reused per step
+  std::vector<BitVector> targets_;  // bulk lane targets, reused per step
+};
+
+/// A threaded worker: steps its searcher until the run stops.  The worker
+/// with `checks_restart` (island 0's first searcher) also checks for a
+/// merged ring every merge_check_interval targets drawn from island 0.
+/// An exception (e.g. from an observer callback) stops the run and is
+/// handed to the caller through rc.fail().
+void worker_loop(RunContext& rc, Searcher& s, Island& isl,
+                 bool checks_restart) noexcept {
+  try {
+    std::uint64_t last_check = 0;
+    while (!rc.check_stop()) {
+      const std::uint64_t generated = s.step(rc, isl);
+      if (checks_restart &&
+          generated - last_check >= rc.merge_check_interval) {
+        last_check = generated;
+        rc.engine.check_restart();
+      }
     }
+  } catch (...) {
+    rc.fail(std::current_exception());
   }
 }
 
-void run_threaded(HostContext& hc, DeviceGroup& group,
-                  MersenneSeeder& seeder) {
-  group.start_all();
-  std::vector<std::thread> hosts;
-  hosts.reserve(group.device_count());
-  const auto seeds = seeder.seeds(group.device_count());
-  for (std::uint32_t i = 0; i < group.device_count(); ++i) {
-    hosts.emplace_back(host_pool_thread, std::ref(hc), std::ref(group), i,
-                       seeds[i]);
+/// One thread per searcher; the caller runs searcher 0 itself.
+void run_threaded(RunContext& rc, std::vector<Searcher>& searchers,
+                  std::vector<Island>& islands) {
+  std::vector<std::thread> threads;
+  threads.reserve(searchers.size() - 1);
+  try {
+    for (std::size_t w = 1; w < searchers.size(); ++w) {
+      Searcher& s = searchers[w];
+      threads.emplace_back(worker_loop, std::ref(rc), std::ref(s),
+                           std::ref(islands[s.island()]), false);
+    }
+  } catch (...) {
+    rc.fail(std::current_exception());  // stops the workers already started
   }
-  for (auto& t : hosts) t.join();
-  group.stop_all();
+  worker_loop(rc, searchers[0], islands[0], true);
+  for (std::thread& t : threads) t.join();
+  if (rc.error) std::rethrow_exception(rc.error);
 }
 
-void run_synchronous(HostContext& hc, DeviceGroup& group,
-                     MersenneSeeder& seeder) {
-  const std::size_t devices = group.device_count();
-  std::vector<Rng> rngs;
-  rngs.reserve(devices);
-  for (std::size_t i = 0; i < devices; ++i) rngs.push_back(seeder.next_rng());
-  std::vector<std::size_t> rr(devices, 0);
-  const auto cancelled = [&hc] { return hc.stopping(); };
-
+/// The same step on the caller, round-robin over islands and over each
+/// island's blocks — bit-reproducible for a fixed seed.
+void run_synchronous(RunContext& rc, std::vector<Searcher>& searchers,
+                     std::vector<Island>& islands) {
+  const std::size_t devices = islands.size();
+  const std::size_t blocks = searchers.size() / devices;
   std::uint64_t round = 0;
-  while (!hc.check_stop()) {
-    const auto i = static_cast<std::uint32_t>(round % devices);
-    Packet pkt = hc.make_packet(i, rngs[i]);
-    VirtualDevice& dev = group.device(i);
-    const Packet out = dev.execute(pkt, rr[i]);
-    rr[i] = (rr[i] + 1) % dev.block_count();
-    hc.on_result(out);
-    hc.engine.maybe_migrate(i, cancelled);
+  while (!rc.check_stop()) {
+    const std::size_t i = round % devices;
+    const std::size_t block = (round / devices) % blocks;
+    searchers[i * blocks + block].step(rc, islands[i]);
     ++round;
-    if (round % (hc.merge_check_interval * devices) == 0) {
-      hc.engine.check_restart();
+    if (round % (rc.merge_check_interval * devices) == 0) {
+      rc.engine.check_restart();
     }
   }
 }
 
 /// One full framework run driven through the unified stop/progress
-/// protocol; both execution modes share the HostContext surface, so
+/// protocol; both execution modes share the RunContext surface, so
 /// synchronous runs stay bit-identical with or without token/observer.
 SolveResult run_dabs(const SolverConfig& cfg, const QuboModel& model,
                      StopContext& ctx) {
@@ -191,8 +236,17 @@ SolveResult run_dabs(const SolverConfig& cfg, const QuboModel& model,
              "work budget, or cancel via a bounded request");
   MersenneSeeder seeder(cfg.seed);
   DiversityEngine engine(engine_config(cfg), model.size(), seeder);
-  DeviceGroup group(model, cfg.devices, cfg.device, seeder);
-  HostContext hc(engine, ctx, model.size(), cfg.merge_check_interval);
+  // Searcher seeds are drawn device-major, then one RNG per island.
+  std::vector<Searcher> searchers;
+  searchers.reserve(cfg.devices * cfg.device.blocks);
+  for (std::uint32_t i = 0; i < cfg.devices; ++i) {
+    for (std::uint32_t b = 0; b < cfg.device.blocks; ++b) {
+      searchers.emplace_back(model, cfg.device, i, seeder.next_seed());
+    }
+  }
+  std::vector<Island> islands(cfg.devices);
+  for (Island& isl : islands) isl.rng = seeder.next_rng();
+  RunContext rc(engine, ctx, model.size(), cfg.merge_check_interval);
 
   // Seed the pools (and the global best) with any warm-start solutions.
   for (std::size_t i = 0; i < cfg.warm_start.size(); ++i) {
@@ -205,13 +259,13 @@ SolveResult run_dabs(const SolverConfig& cfg, const QuboModel& model,
     p.algo = cfg.algorithms[i % cfg.algorithms.size()];
     p.op = cfg.operations[i % cfg.operations.size()];
     p.pool_index = static_cast<std::uint32_t>(i % cfg.devices);
-    hc.on_result(p);
+    rc.on_result(p);
   }
 
-  // A run cancelled before the first device result must still report a
+  // A run cancelled before the first batch result must still report a
   // real (solution, energy) pair, so fold one evaluated initial pool
   // entry into the global best exactly like a warm start.
-  if (hc.best_energy == kInfiniteEnergy) {
+  if (rc.best_energy == kInfiniteEnergy) {
     const PoolEntry first = engine.ring().pool(0).entry(0);
     Packet p;
     p.solution = first.solution;
@@ -219,18 +273,18 @@ SolveResult run_dabs(const SolverConfig& cfg, const QuboModel& model,
     p.algo = first.algo;
     p.op = first.op;
     p.pool_index = 0;
-    hc.on_result(p);
+    rc.on_result(p);
   }
 
   if (cfg.mode == ExecutionMode::kThreaded) {
-    run_threaded(hc, group, seeder);
+    run_threaded(rc, searchers, islands);
   } else {
-    run_synchronous(hc, group, seeder);
+    run_synchronous(rc, searchers, islands);
   }
 
   SolveResult r;
-  r.best_solution = hc.best;
-  r.best_energy = hc.best_energy;
+  r.best_solution = rc.best;
+  r.best_energy = rc.best_energy;
   r.reached_target = ctx.reached_target();
   r.tts_seconds = ctx.tts_seconds();
   r.elapsed_seconds = ctx.elapsed_seconds();

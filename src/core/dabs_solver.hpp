@@ -1,27 +1,33 @@
 // DabsSolver — the full Diverse Adaptive Bulk Search framework (paper §V):
 //
-//   host                                 devices
-//   ----                                 -------
-//   pool 0  <- host thread 0 ->  virtual device 0 (block executors)
-//   pool 1  <- host thread 1 ->  virtual device 1
-//   ...                                   ...
+//   islands                   batch searchers (devices x blocks)
+//   -------                   ----------------------------------
+//   pool 0  <- step loop ->   searcher 0.0 ... searcher 0.(blocks-1)
+//   pool 1  <- step loop ->   searcher 1.0 ... searcher 1.(blocks-1)
+//   ...                       ...
 //
 // The GA side (pools, adaptive selection, island ring, migration) lives in
-// the DiversityEngine (src/evolve); the solver is the driver that wires the
-// engine to the virtual-device substrate and the unified stop/progress
-// protocol.  Each host thread repeatedly (a) drains its device's outbox,
-// handing result packets to the engine and updating the global best, and
-// (b) asks the engine for the next target packet and pushes it to the
-// device inbox.
+// the DiversityEngine (src/evolve).  The solver owns one persistent batch
+// searcher per CUDA-block equivalent — a BatchSearch, or a BulkBatchSearch
+// of `replicas` lanes — and drives each with one step: draw one target per
+// lane from the searcher's island (engine.next_packet), run the batch, and
+// hand every result back (engine.accept_result), updating the global best.
+// The paper's host<->device packet queues hide PCIe latency behind GPU
+// batches; on a CPU there is no device latency to hide, so each searcher
+// generates its own targets and a bulk searcher fills all of its lanes.
+//
+// ExecutionMode::kThreaded runs one thread per searcher (the caller runs
+// searcher 0); a per-island mutex serializes next_packet / maybe_migrate,
+// because the engine lets one thread at a time drive an island.
+// ExecutionMode::kSynchronous runs the identical step on the caller,
+// round-robin over islands and over each island's blocks, bit-reproducibly
+// (used by tests and deterministic ablations).
 //
 // Termination runs through one shared StopContext (target energy, wall
-// clock, batch budget, cooperative cancellation); host threads serialize
-// their driving-thread calls on it under a mutex.  When every pool's best
-// has merged to the same solution the engine restarts the ring from random
+// clock, batch budget, cooperative cancellation); workers serialize their
+// driving-thread calls on it under a mutex.  When every pool's best has
+// merged to the same solution the engine restarts the ring from random
 // pools (paper §IV-B).
-//
-// ExecutionMode::kSynchronous runs the identical logic single-threaded and
-// bit-reproducibly (used by tests and deterministic ablations).
 #pragma once
 
 #include <map>
@@ -64,7 +70,7 @@ class DabsSolver : public Solver {
   const SolverConfig& config() const noexcept { return config_; }
 
   /// Runs the framework on `model` until a stop condition fires.
-  /// Re-entrant: each call builds fresh pools/devices.  The config's stop
+  /// Re-entrant: each call builds fresh pools/searchers.  The config's stop
   /// condition must be bounded.
   SolveResult solve(const QuboModel& model);
 

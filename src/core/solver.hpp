@@ -14,7 +14,7 @@
 // Thread-safety contract: Solver implementations keep all per-run state
 // local to solve(), so one instance may serve concurrent solve() calls
 // (ParallelCampaign relies on this).  Observer callbacks may arrive from
-// any host thread of a threaded solver — keep them fast and thread-safe.
+// any worker thread of a threaded solver — keep them fast and thread-safe.
 #pragma once
 
 #include <atomic>

@@ -7,19 +7,30 @@
 #include <optional>
 #include <vector>
 
-#include "device/virtual_device.hpp"
 #include "evolve/genetic_ops.hpp"
 #include "qubo/types.hpp"
+#include "search/batch_search.hpp"
 #include "search/registry.hpp"
 #include "util/bit_vector.hpp"
 
 namespace dabs {
 
 enum class ExecutionMode : std::uint8_t {
-  /// Host thread per pool + device block threads (the paper's architecture).
+  /// One thread per batch searcher (devices x blocks, the caller included),
+  /// each drawing its own targets from its device's island.
   kThreaded,
-  /// Single-threaded, bit-reproducible round-robin loop (tests, ablations).
+  /// The same searchers stepped on the caller, round-robin over islands
+  /// and blocks: bit-reproducible (tests, ablations).
   kSynchronous,
+};
+
+/// One device of the paper's multi-GPU deployment: `blocks` persistent
+/// batch searchers (CUDA-block equivalents) sharing one island.
+struct DeviceConfig {
+  std::uint32_t blocks = 4;    // batch searchers per device
+  std::uint32_t replicas = 1;  // lanes per searcher; > 1 runs the bulk
+                               // replica engine (threaded mode only)
+  BatchParams batch;           // s, b, tabu tenure
 };
 
 struct StopCondition {
@@ -39,7 +50,7 @@ struct StopCondition {
 
 struct SolverConfig {
   std::size_t devices = 2;   // the paper uses 8 GPUs
-  DeviceConfig device;       // blocks per device, queue depth, s/b/tabu
+  DeviceConfig device;       // blocks per device, replicas, s/b/tabu
   std::size_t pool_capacity = 100;
   std::uint64_t seed = 0x5eed5eed;
   ExecutionMode mode = ExecutionMode::kThreaded;

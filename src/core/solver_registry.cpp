@@ -165,9 +165,9 @@ SolverConfig bulk_config(const SolverOptions& o) {
   cfg.explore_prob = o.get_double("explore", cfg.explore_prob);
   cfg.migration_interval = o.get_u64("migrate", cfg.migration_interval);
   cfg.migration_count = o.get_u64("migrants", cfg.migration_count);
-  // Synchronous (bit-reproducible) by default; opt into the threaded
-  // host/device pipeline explicitly.  Bulk blocks (replicas > 1) gather
-  // packets concurrently, so they imply threaded mode.
+  // Synchronous (bit-reproducible) by default; opt into one thread per
+  // batch searcher explicitly.  Bulk searchers (replicas > 1) exist in
+  // threaded mode only, so they imply it.
   cfg.mode = o.get_bool("threads", cfg.device.replicas > 1)
                  ? ExecutionMode::kThreaded
                  : ExecutionMode::kSynchronous;

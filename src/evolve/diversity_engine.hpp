@@ -6,9 +6,10 @@
 //
 // The engine is deliberately solver-agnostic: DabsSolver drives it through
 // next_packet / accept_result, but the same surface serves the synchronous
-// round-robin loop, the threaded host pool, and tests that exercise the GA
-// in isolation.  Thread model: next_packet(i, ...) and maybe_migrate(i, ...)
-// are called only by island i's host thread; accept_result / inject /
+// round-robin loop, the threaded workers, and tests that exercise the GA
+// in isolation.  Thread model: one thread at a time drives island i's
+// next_packet(i, ...) and maybe_migrate(i, ...) (DabsSolver serializes an
+// island's workers under a per-island mutex); accept_result / inject /
 // check_restart / all observers may be called from any thread.
 #pragma once
 
@@ -135,7 +136,7 @@ class DiversityEngine {
   std::mutex restart_mu_;  // guards restart_seeder_
   MersenneSeeder restart_seeder_;
 
-  // Written only by island i's host thread; summed for reporting.
+  // Written only by island i's current driver; summed for reporting.
   std::vector<std::uint64_t> generated_;
   std::vector<std::uint64_t> last_migration_;
 

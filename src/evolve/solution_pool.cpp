@@ -116,10 +116,8 @@ PoolDiversity SolutionPool::diversity() const {
 }
 
 void SolutionPool::restart(Rng& rng) {
-  {
-    std::lock_guard lock(mu_);
-    entries_.clear();
-  }
+  // initialize_random() clears and refills under one lock, so a selection
+  // racing the restart never sees an empty pool.
   initialize_random(rng);
 }
 

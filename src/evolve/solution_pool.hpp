@@ -4,9 +4,9 @@
 // genetic operation produced it — the records that drive the adaptive
 // 95 %/5 % selection rule.
 //
-// Pools are shared between their owning host thread and neighbor host
-// threads performing Xrossover, so every public operation is internally
-// synchronized and selection results are returned by value.
+// Pools are shared between their own island's workers and the neighbor
+// island's workers performing Xrossover, so every public operation is
+// internally synchronized and selection results are returned by value.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +58,8 @@ class SolutionPool {
   /// Uniformly random entry (used by the 95 % adaptive rule).
   PoolEntry select_uniform(Rng& rng) const;
 
-  /// Empties and re-randomizes (the paper's restart after pool merge).
+  /// Empties and re-randomizes (the paper's restart after pool merge) in
+  /// one critical section: concurrent selections never see an empty pool.
   void restart(Rng& rng);
 
   /// Copies of the solution vectors of every *evaluated* entry (the random

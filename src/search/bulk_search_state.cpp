@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <type_traits>
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dabs {
 
@@ -74,7 +72,6 @@ class BulkEngine {
   std::size_t size() const noexcept { return n_; }
   std::size_t replica_count() const noexcept { return replicas_; }
   std::size_t block_count() const noexcept { return blocks_; }
-  void set_thread_pool(ThreadPool* pool) noexcept { pool_ = pool; }
 
   virtual void reset() = 0;
   virtual void reset_to(std::size_t r, const BitVector& x) = 0;
@@ -152,26 +149,10 @@ class BulkEngine {
                                : (std::uint64_t{1} << remaining) - 1;
   }
 
-  /// Runs fn(b) for every block, sharded over the thread pool when set.
-  void for_each_block(const std::function<void(std::size_t)>& fn) {
-    if (pool_ != nullptr && blocks_ > 1) {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(blocks_);
-      for (std::size_t b = 0; b < blocks_; ++b) {
-        tasks.emplace_back([&fn, b] { fn(b); });
-      }
-      pool_->submit_batch(std::move(tasks));
-      pool_->wait_idle();
-    } else {
-      for (std::size_t b = 0; b < blocks_; ++b) fn(b);
-    }
-  }
-
   const QuboModel* model_;
   std::size_t n_;
   std::size_t replicas_;
   std::size_t blocks_;
-  ThreadPool* pool_ = nullptr;
 
   // Bit-sliced X / BEST: word [b * n_ + k] holds bit k of the 64 replicas
   // of block b (lane r at bit position r, LSB-first like util/bit_vector).
@@ -286,12 +267,12 @@ class BulkEngineImpl final : public BulkEngine {
                    std::span<const std::uint64_t> lane_masks, bool conditional,
                    std::span<std::uint64_t> applied) override {
     const ChunkContext ctx = make_context(idx, lane_masks, applied);
-    for_each_block([&](std::size_t b) { chunk_block(ctx, conditional, b); });
+    for (std::size_t b = 0; b < blocks_; ++b) chunk_block(ctx, conditional, b);
   }
 
   void scan(std::span<ScanResult> out) override {
     DABS_CHECK(out.size() == replicas_, "scan output size mismatch");
-    for_each_block([&](std::size_t b) { scan_block(b, out); });
+    for (std::size_t b = 0; b < blocks_; ++b) scan_block(b, out);
   }
 
   void flip_and_scan(VarIndex i, std::span<const std::uint64_t> lane_mask,
@@ -301,14 +282,14 @@ class BulkEngineImpl final : public BulkEngine {
     const ChunkContext ctx = make_context({idx, 1}, lane_mask, {});
     // Fused per block: the scan reduces each block's deltas while they are
     // still resident from the chunk pass.
-    for_each_block([&](std::size_t b) {
+    for (std::size_t b = 0; b < blocks_; ++b) {
       chunk_block(ctx, /*conditional=*/false, b);
       scan_block(b, out);
-    });
+    }
   }
 
  private:
-  /// Per-call immutable inputs shared by every block worker.
+  /// Per-call immutable inputs shared by every block.
   struct ChunkContext {
     std::span<const VarIndex> idx;
     std::span<const std::uint64_t> masks;
@@ -624,9 +605,6 @@ std::size_t BulkSearchState::replica_count() const noexcept {
 }
 std::size_t BulkSearchState::block_count() const noexcept {
   return engine_->block_count();
-}
-void BulkSearchState::set_thread_pool(ThreadPool* pool) noexcept {
-  engine_->set_thread_pool(pool);
 }
 
 void BulkSearchState::reset() { engine_->reset(); }

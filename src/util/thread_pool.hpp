@@ -1,7 +1,7 @@
-// Minimal fixed-size thread pool.  Used by the benchmark harness to run
-// independent solver trials concurrently; the device substrate manages its
-// own threads (see device/virtual_device.hpp) because its workers are
-// long-lived consumers of a packet queue rather than one-shot tasks.
+// Minimal fixed-size thread pool of one-shot tasks.  Used by the solver
+// service (one job per task) and the campaign harness (one trial per
+// task).  A threaded dabs solve does not use it: it runs one long-lived
+// worker per batch searcher (see core/dabs_solver.hpp).
 #pragma once
 
 #include <condition_variable>

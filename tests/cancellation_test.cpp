@@ -81,15 +81,19 @@ TEST(Cancellation, TokenHaltsExhaustiveEnumeration) {
 
 TEST(Cancellation, TokenHaltsDabsInBothExecutionModes) {
   const QuboModel m = random_model(200, 0.5, 9, 12002);
-  for (const bool threaded : {false, true}) {
-    const std::unique_ptr<Solver> solver = SolverRegistry::global().create(
-        "dabs", {{"threads", threaded ? "true" : "false"}});
+  const std::pair<const char*, SolverOptions> cases[] = {
+      {"synchronous", {{"threads", "false"}}},
+      {"threaded", {{"threads", "true"}}},
+      {"threaded bulk", {{"replicas", "64"}}},
+  };
+  for (const auto& [mode, options] : cases) {
+    const std::unique_ptr<Solver> solver =
+        SolverRegistry::global().create("dabs", options);
     Stopwatch wall;
     const SolveReport report = cancel_mid_run(*solver, m, 50);
-    EXPECT_TRUE(report.cancelled) << "threaded=" << threaded;
-    EXPECT_LT(wall.elapsed_seconds(), kGraceSeconds)
-        << "threaded=" << threaded;
-    EXPECT_EQ(m.energy(report.best_solution), report.best_energy);
+    EXPECT_TRUE(report.cancelled) << mode;
+    EXPECT_LT(wall.elapsed_seconds(), kGraceSeconds) << mode;
+    EXPECT_EQ(m.energy(report.best_solution), report.best_energy) << mode;
   }
 }
 

@@ -2,6 +2,11 @@
 // diversity, determinism, and correctness against exhaustive optima.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "baseline/abs_solver.hpp"
 #include "baseline/exhaustive.hpp"
 #include "core/dabs_solver.hpp"
@@ -201,6 +206,64 @@ TEST(DabsSolver, ThreadedModeReachesExhaustiveOptimum) {
   const SolveResult r = DabsSolver(c).solve(m);
   EXPECT_TRUE(r.reached_target);
   EXPECT_EQ(r.best_energy, truth.best_energy);
+}
+
+/// Invariants of the threaded step loop under a batch budget: every drawn
+/// target is charged to the budget exactly once, the overshoot is at most
+/// one step per worker, and the reported best re-evaluates exactly.
+void expect_threaded_budget_invariants(const SolverConfig& c,
+                                       const QuboModel& m) {
+  const SolveResult r = DabsSolver(c).solve(m);
+  const std::uint64_t budget = c.stop.max_batches;
+  const std::uint64_t workers = c.devices * c.device.blocks;
+  const std::uint64_t lanes = c.device.replicas;
+  EXPECT_EQ(r.extras.at("packets_generated"), std::to_string(r.batches));
+  EXPECT_GE(r.batches, budget);
+  EXPECT_LE(r.batches, budget + workers * lanes);
+  EXPECT_EQ(r.best_solution.size(), m.size());
+  EXPECT_EQ(m.energy(r.best_solution), r.best_energy);
+}
+
+TEST(DabsSolver, ThreadedScalarSolveKeepsBudgetInvariants) {
+  const QuboModel m = random_model(40, 0.5, 9, 4013);
+  SolverConfig c = quick_config();
+  c.mode = ExecutionMode::kThreaded;
+  c.devices = 2;
+  c.device.blocks = 2;
+  c.stop.max_batches = 150;
+  expect_threaded_budget_invariants(c, m);
+}
+
+TEST(DabsSolver, ThreadedBulkSolveKeepsBudgetInvariants) {
+  const QuboModel m = random_model(40, 0.5, 9, 4014);
+  SolverConfig c = quick_config();
+  c.mode = ExecutionMode::kThreaded;
+  c.devices = 2;
+  c.device.blocks = 1;
+  c.device.replicas = 8;
+  c.stop.max_batches = 150;
+  expect_threaded_budget_invariants(c, m);
+}
+
+TEST(DabsSolver, ThreadedWorkerExceptionReachesTheCaller) {
+  // The first on_new_best comes from the caller's initial pool entry;
+  // later ones fire on whichever worker thread improved the best.
+  struct ThrowingObserver : ProgressObserver {
+    std::atomic<int> calls{0};
+    void on_new_best(const ProgressEvent&) override {
+      if (calls.fetch_add(1) >= 1) throw std::runtime_error("observer");
+    }
+  };
+  const QuboModel m = random_model(40, 0.5, 9, 4015);
+  SolverConfig c = quick_config();
+  c.mode = ExecutionMode::kThreaded;
+  ThrowingObserver observer;
+  SolveRequest req;
+  req.model = &m;
+  req.stop.time_limit_seconds = 30.0;
+  req.observer = &observer;
+  EXPECT_THROW((void)DabsSolver(c).solve(req), std::runtime_error);
+  EXPECT_GE(observer.calls.load(), 2);
 }
 
 TEST(DabsSolver, SingleDeviceRunWorks) {

@@ -4,6 +4,9 @@
 // paper's GPU implementation (per-thread Xorshift streams) aims for.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "core/dabs_solver.hpp"
 #include "qubo/search_state.hpp"
 #include "search/registry.hpp"
@@ -121,6 +124,62 @@ TEST(SolverDeterminismMisc, DeviceAndBlockCountChangeTheWalkNotValidity) {
           << devices << "x" << blocks;
     }
   }
+}
+
+/// FNV-1a over the solution bits: a compact fingerprint of best_solution.
+std::uint64_t solution_hash(const BitVector& x) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    h = (h ^ (x.get(i) ? 1u : 0u)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Golden fingerprints: values recorded from the synchronous trajectory and
+// pinned here, so a change to the solve loop that alters the walk (RNG draw
+// order, block round-robin, merge-check cadence) fails across commits, not
+// only between two runs of the same build.
+TEST(SolverDeterminismGolden, SynchronousFingerprint64Var) {
+  const QuboModel m = random_model(64, 0.3, 9, 11004);
+  SolverConfig c;
+  c.devices = 3;
+  c.device.blocks = 2;
+  c.mode = ExecutionMode::kSynchronous;
+  c.stop.max_batches = 120;
+  c.seed = 0xD1CED1CE;
+  const SolveResult r = DabsSolver(c).solve(m);
+  EXPECT_EQ(r.best_energy, -416);
+  EXPECT_EQ(r.batches, 120u);
+  EXPECT_EQ(r.restarts, 0u);
+  EXPECT_EQ(solution_hash(r.best_solution), 2643378358876355841ull);
+  EXPECT_EQ(r.stats.algo_executed,
+            (std::array<std::uint64_t, kMainSearchCount>{27, 18, 20, 32, 23}));
+  EXPECT_EQ(r.stats.op_executed,
+            (std::array<std::uint64_t, kGeneticOpCount>{17, 12, 16, 14, 6, 9,
+                                                        18, 28, 0}));
+}
+
+TEST(SolverDeterminismGolden, SynchronousWarmStartFingerprint) {
+  const QuboModel m = random_model(24, 0.5, 9, 11005);
+  Rng rng(7);
+  SolverConfig c;
+  c.devices = 2;
+  c.device.blocks = 2;
+  c.mode = ExecutionMode::kSynchronous;
+  c.warm_start = {random_solution(24, rng), random_solution(24, rng),
+                  random_solution(24, rng)};
+  c.stop.max_batches = 400;
+  c.seed = 0xA11CE;
+  const SolveResult r = DabsSolver(c).solve(m);
+  EXPECT_EQ(r.best_energy, -93);
+  EXPECT_EQ(r.batches, 400u);
+  EXPECT_EQ(r.restarts, 3u);
+  EXPECT_EQ(solution_hash(r.best_solution), 12905555987772229362ull);
+  EXPECT_EQ(r.stats.algo_executed,
+            (std::array<std::uint64_t, kMainSearchCount>{102, 79, 69, 78, 72}));
+  EXPECT_EQ(r.stats.op_executed,
+            (std::array<std::uint64_t, kGeneticOpCount>{41, 41, 70, 34, 45,
+                                                        50, 63, 56, 0}));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the diversity engine subsystem: pool diversity measurement,
 // island migration, adaptive-selector convergence on a rigged reward
-// stream, DiversityEngine determinism/cancellation, and the dabs solver's
-// diversity surface (registry options, SolveReport extras).
+// stream, DiversityEngine determinism/cancellation, the Table-I packet it
+// emits, and the dabs solver's diversity surface (registry options,
+// SolveReport extras).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 
 #include "core/dabs_solver.hpp"
 #include "core/solver_registry.hpp"
+#include "device/packet.hpp"
 #include "evolve/adaptive_selector.hpp"
 #include "evolve/diversity.hpp"
 #include "evolve/diversity_engine.hpp"
@@ -353,6 +355,31 @@ TEST(DiversityEngine, InjectSeedsThePool) {
   EXPECT_TRUE(engine.inject(bits_of(16, 0x55), -31, 1));
   EXPECT_EQ(engine.ring().pool(1).best_energy(), -31);
   EXPECT_EQ(engine.best_energy(), -31);
+}
+
+// The host<->device packet of paper Table I, as the engine emits it.
+Packet make_test_packet(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Packet p;
+  p.solution = random_solution(n, rng);
+  p.algo = MainSearch::kMaxMin;
+  p.op = GeneticOp::kMutation;
+  return p;
+}
+
+TEST(Packet, VoidEnergyUntilDeviceFillsIt) {
+  const Packet p = make_test_packet(16, 1);
+  EXPECT_FALSE(p.has_energy());
+}
+
+TEST(Packet, DescribeRendersTableOneStyle) {
+  Packet p = make_test_packet(16, 2);
+  const std::string host_to_dev = describe(p);
+  EXPECT_NE(host_to_dev.find("void"), std::string::npos);
+  EXPECT_NE(host_to_dev.find("MaxMin"), std::string::npos);
+  EXPECT_NE(host_to_dev.find("Mutation"), std::string::npos);
+  p.energy = -1340;
+  EXPECT_NE(describe(p).find("-1340"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

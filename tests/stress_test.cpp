@@ -1,13 +1,13 @@
-// Concurrency / failure-injection stress tests: queues under contention,
-// pools under concurrent mixed access, solver restart behaviour, and
-// shutdown edge cases.
+// Concurrency / failure-injection stress tests: pools under concurrent
+// mixed access, solver restart behaviour, and shutdown edge cases.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "core/dabs_solver.hpp"
-#include "device/packet_queue.hpp"
 #include "evolve/genetic_ops.hpp"
 #include "evolve/island_ring.hpp"
 #include "evolve/solution_pool.hpp"
@@ -18,46 +18,6 @@ namespace {
 
 using testing::random_model;
 using testing::random_solution;
-
-TEST(Stress, PacketQueueManyProducersManyConsumers) {
-  PacketQueue q(8);
-  constexpr int kProducers = 4, kConsumers = 4, kPerProducer = 200;
-  std::atomic<int> consumed{0};
-  std::atomic<long long> checksum{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      Rng rng(p + 1);
-      for (int i = 0; i < kPerProducer; ++i) {
-        Packet pkt;
-        pkt.solution = random_bit_vector(64, rng);
-        pkt.pool_index = static_cast<std::uint32_t>(p);
-        pkt.energy = p * kPerProducer + i;
-        ASSERT_TRUE(q.push(std::move(pkt)));
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      while (auto pkt = q.pop()) {
-        checksum.fetch_add(pkt->energy);
-        consumed.fetch_add(1);
-      }
-    });
-  }
-  // Join producers (the first kProducers threads), then close.
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  q.close();
-  for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-
-  EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
-  long long expected = 0;
-  for (int p = 0; p < kProducers; ++p) {
-    for (int i = 0; i < kPerProducer; ++i) expected += p * kPerProducer + i;
-  }
-  EXPECT_EQ(checksum.load(), expected);
-}
 
 TEST(Stress, SolutionPoolConcurrentMixedAccess) {
   SolutionPool pool(50, 64);
@@ -105,6 +65,37 @@ TEST(Stress, SolutionPoolConcurrentMixedAccess) {
     EXPECT_LE(prev, e);
     prev = e;
   }
+}
+
+TEST(Stress, SolutionPoolRestartNeverExposesAnEmptyPool) {
+  // A merged-ring restart runs on one worker while other workers select
+  // parents from the same pool; every selection must find entries.
+  SolutionPool pool(50, 64);
+  {
+    Rng rng(1);
+    pool.initialize_random(rng);
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> empty_selections{0};
+  std::thread restarter([&pool, &stop] {
+    Rng rng(2);
+    while (!stop.load()) pool.restart(rng);
+  });
+  std::thread selector([&pool, &stop, &empty_selections] {
+    Rng rng(3);
+    while (!stop.load()) {
+      try {
+        (void)pool.select_cube_weighted(rng);
+      } catch (const std::invalid_argument&) {
+        empty_selections.fetch_add(1);
+      }
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  stop = true;
+  restarter.join();
+  selector.join();
+  EXPECT_EQ(empty_selections.load(), 0);
 }
 
 TEST(Stress, ThreadedSolverRepeatedStartStop) {
