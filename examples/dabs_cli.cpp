@@ -414,11 +414,11 @@ int main(int argc, char** argv) {
       }
       const std::string path = args.positional()[0];
       const std::string format = args.get("format", "qubo");
-      if (!service::known_model_format(format)) {
+      if (!ProblemRegistry::global().is_loader(format)) {
         std::cerr << "unknown format '" << format << "'\n";
         return 2;
       }
-      model = service::load_model_file(format, path);
+      model = ProblemRegistry::global().create(format + ":" + path)->encode();
     }
 
     if (args.get_bool("describe")) {

@@ -7,32 +7,31 @@
 //
 // Request/report JSON is the JSONL batch schema (batch_runner.hpp): a
 // POST /v1/jobs body is exactly one batch job line, and a finished job's
-// report carries the same decode/verify extras the batch runner streams.
+// report carries the decode/verify extras the JobLedger adds for both
+// transports.
 //
 // Job ids are global across a shard group: a worker owning shard k of N
 // publishes `local_id * N + k`, so any id maps back to its shard with a
 // modulo — the front end never rewrites response bodies.
 //
-// Durability mirrors the batch runner: with a journal armed, every accept
-// writes a `submitted` record whose detail field holds the raw request
-// body, and the reaper writes the terminal record when the job finishes.
-// `resume()`-style recovery happens in the constructor: fingerprints whose
-// last journal record is non-terminal are re-submitted from that stored
-// body under their original fingerprint.
+// Durability is the JobLedger's (service/job_ledger.hpp), the lifecycle
+// both transports share: with a journal armed, every accept writes a
+// `submitted` record whose detail field holds the raw request body, and
+// the reaper finishes each job through the ledger, which journals the
+// terminal record.  `resume()`-style recovery happens in the constructor:
+// fingerprints whose last journal record is non-terminal are re-submitted
+// from that stored body under their original fingerprint.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
-#include "obs/trace.hpp"
-#include "service/batch_runner.hpp"
-#include "service/job_journal.hpp"
+#include "service/job_ledger.hpp"
 #include "service/solver_service.hpp"
 
 namespace dabs::net {
@@ -80,16 +79,13 @@ class JobBackend {
   virtual std::size_t shards() const { return 1; }
 };
 
-/// The shard-routing key of a parsed job: the problem spec + params (or
-/// "<format>#<path>" for file jobs).  Deliberately the *spec*, not the
-/// canonical resolved model key — routing must not require running a
-/// generator — and stable across processes so every front end and worker
-/// agrees on ownership.
-std::string routing_key(const service::BatchJob& job);
+/// The shard-routing key of a parsed job; the same key dedupes Problems in
+/// the JobLedger, so every front end and worker agrees on ownership.
+using service::routing_key;
 
-/// In-process JobBackend: SolverService + ModelCache + optional journal,
-/// plus a reaper thread that journals terminal records, runs the
-/// decode/verify annotation once per finished job, and bounds retention.
+/// In-process JobBackend: a JobLedger (service + cache + optional journal)
+/// plus a reaper thread that finishes each job through the ledger once and
+/// bounds retention.
 ///
 /// Thread-safety: all five operations and the reaper serialize on one
 /// internal mutex (operations are queue-sized, not solve-sized — the
@@ -146,25 +142,11 @@ class JobApi final : public JobBackend {
 
   /// Jobs re-submitted from the journal by the constructor (--resume).
   std::size_t resumed() const noexcept { return resumed_; }
-  /// Journal-append failures so far (the API keeps serving without
-  /// durability; /v1/stats surfaces the count).
-  std::uint64_t journal_errors() const noexcept {
-    return journal_errors_.load(std::memory_order_relaxed);
-  }
 
  private:
-  /// What status/events need after the service record is released, and
-  /// what the decode/verify pass needs while the job is in flight.
-  struct Pending {
-    std::shared_ptr<const dabs::Problem> problem;
-    std::shared_ptr<const dabs::QuboModel> model;
-    std::string fingerprint;
-  };
-
   ApiReply submit_internal(const std::string& body,
                            const std::string& forced_fingerprint);
   void reaper_loop();
-  void journal_append(const service::JournalRecord& record);
   /// Renders one job's status JSON from a snapshot (global id).
   std::string render_status(std::uint64_t global_id,
                             const service::JobSnapshot& snap,
@@ -175,30 +157,14 @@ class JobApi final : public JobBackend {
   }
 
   const Config config_;
-  std::unique_ptr<service::JobJournal> journal_;
-  service::SolverService service_;
+  service::JobLedger ledger_;
 
   mutable std::mutex mu_;
-  /// In-flight jobs by local id; moved to finished_ by the reaper.
-  std::map<service::JobId, Pending> pending_;
   /// Terminal jobs after release: the annotated final snapshot, retained
   /// for status/events until evicted (finish order).
-  struct Finished {
-    service::JobSnapshot snap;
-    std::string fingerprint;
-  };
-  std::map<service::JobId, Finished> finished_;
+  std::map<service::JobId, service::JobLedger::Finished> finished_;
   std::deque<service::JobId> finish_order_;
-  /// "#N" disambiguation for duplicate submissions, seeded from the
-  /// journal on resume so numbering continues across restarts.
-  std::map<std::string, std::uint64_t> fingerprint_occurrences_;
-  /// Atomic, not mu_-guarded: journal_append runs both under mu_ (submit)
-  /// and without it (the service's on_started hook on worker threads).
-  std::atomic<std::uint64_t> journal_errors_{0};
   std::size_t resumed_ = 0;
-  /// Populated by the reaper when Config::trace_path is set; dumped by the
-  /// destructor.
-  obs::TraceCollector trace_;
 
   std::atomic<bool> stop_reaper_{false};
   std::thread reaper_;

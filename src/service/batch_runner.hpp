@@ -20,8 +20,11 @@
 //                                 // (default: BatchOptions::max_attempts)
 //    "seed": 7, "priority": 2, "tag": "hot", "tick": 0.5}
 //
-// Blank lines and lines starting with '#' are skipped.  Every model flows
-// through the service's ModelCache — legacy file jobs keyed by
+// Blank lines and lines starting with '#' are skipped.  Each job runs
+// through a JobLedger (job_ledger.hpp), the lifecycle the HTTP solve
+// server shares; this front end adds line numbering, load retries, JSONL
+// output, interrupts and the summary.  Every model flows through the
+// service's ModelCache — legacy file jobs keyed by
 // "<format>#<path>", problem jobs by "problem#<canonical key>" — so
 // repeated specs skip the encode and equal-content instances share
 // storage; each report's extras record the outcome ("model_cache":
@@ -120,22 +123,10 @@ BatchJob parse_batch_job(const std::string& json_line);
 /// Stable fingerprint of a job definition: 16 hex chars of FNV-1a over
 /// every field that identifies the job (model/problem spec + params +
 /// solver + options + stop condition + seed + priority + tag + deadline +
-/// attempts).  Identical job lines collide by construction — the runner
+/// attempts).  Identical job lines collide by construction — the ledger
 /// disambiguates them with a "#<occurrence>" suffix in input order, which
 /// is what the journal stores and the report extras echo.
 std::string job_fingerprint(const BatchJob& job);
-
-/// Deprecated shim over ProblemRegistry (kept for the legacy "format"
-/// key): true exactly for the registered file-loader families — qubo,
-/// gset, qaplib.  New code should query ProblemRegistry::global().
-bool known_model_format(const std::string& format);
-
-/// Deprecated shim over ProblemRegistry (the one loader surface): builds
-/// "<format>:<path>" and encodes it.  Throws std::invalid_argument for an
-/// unknown format and the reader's error on IO failure.  New code should
-/// create a Problem and keep it for decode/verify.
-QuboModel load_model_file(const std::string& format,
-                          const std::string& path);
 
 /// The bounded-run policy the single-run CLI applies, shared with batch
 /// jobs: when a wall-clock or work budget governs the run, lift the

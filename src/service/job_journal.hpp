@@ -68,9 +68,9 @@ struct JournalRecord {
   std::string detail;
 };
 
-/// Append-side handle.  Thread-safe: the batch runner appends from its
-/// driving thread while the service's on-started hook appends from worker
-/// threads.
+/// Append-side handle.  Thread-safe: the JobLedger appends from its
+/// transport's threads while the service's on-started hook appends from
+/// worker threads.
 class JobJournal {
  public:
   /// Opens (creating if needed) `path` for appending.  Throws

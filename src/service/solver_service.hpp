@@ -1,8 +1,7 @@
 // Asynchronous batch-solve service over the unified Solver API — the layer
 // that turns one-shot solve() calls into a concurrent, cancellable,
 // deduplicating job pipeline (PR 3 named it as its natural next step; the
-// JSONL front end in batch_runner.hpp and any future RPC surface sit on
-// top of this).
+// JobLedger in job_ledger.hpp runs both transports' jobs on top of this).
 //
 //   SolverService svc({.threads = 4});
 //   JobSpec spec;
@@ -34,8 +33,8 @@
 //     growing the queue unboundedly — an over-capacity submit returns a
 //     job that is immediately terminal in the new kRejected state.
 //   - Observation hook: Config::on_started fires (on the worker thread,
-//     outside the service lock) when a worker picks a job up — the batch
-//     runner journals the transition.
+//     outside the service lock) when a worker picks a job up — the
+//     JobLedger journals the transition.
 #pragma once
 
 #include <chrono>

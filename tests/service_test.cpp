@@ -1,6 +1,7 @@
 // Tests for the batch solve service: scheduling, waiting, cancellation,
 // event logs, fault tolerance (retry/backoff, deadlines, admission
-// control, journal + resume, interrupts), and the JSONL batch front end.
+// control, journal + resume, interrupts), the JSONL batch front end, and
+// the JobLedger lifecycle it shares with the HTTP transport.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,8 @@
 
 #include "io/json_reader.hpp"
 #include "io/qubo_text.hpp"
+#include "net/job_api.hpp"
+#include "obs/metrics.hpp"
 #include "service/batch_runner.hpp"
 #include "service/job_journal.hpp"
 #include "service/solver_service.hpp"
@@ -841,6 +844,35 @@ std::string fresh_journal_path(const char* name) {
   return path;
 }
 
+/// Process-wide journal append failures, as /v1/metrics exposes them.
+double journal_append_errors_total() {
+  for (const obs::FamilySnapshot& family :
+       obs::MetricsRegistry::global().snapshot()) {
+    if (family.name != "dabs_journal_append_errors_total") continue;
+    double total = 0.0;
+    for (const obs::SampleSnapshot& sample : family.samples) {
+      total += sample.value;
+    }
+    return total;
+  }
+  return 0.0;
+}
+
+/// The journal's event names for one fingerprint, in file order.
+std::vector<std::string> journal_events(const std::string& path,
+                                        const std::string& fingerprint) {
+  std::vector<std::string> events;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    const io::JsonValue record = io::parse_json(line);
+    if (record.find("fp")->as_string() == fingerprint) {
+      events.push_back(record.find("event")->as_string());
+    }
+  }
+  return events;
+}
+
 }  // namespace
 
 TEST(BatchRunner, FingerprintsAreStableAndOrderInsensitive) {
@@ -972,6 +1004,7 @@ TEST(BatchRunner, JournalAppendFailureDegradesGracefully) {
   std::istringstream in(small_batch_jobs(2));
   std::ostringstream out;
   std::ostringstream err;
+  const double errors_before = journal_append_errors_total();
   // Durability is gone but the batch itself still completes cleanly.
   EXPECT_EQ(service::run_batch(in, out, err, options), 0);
   std::istringstream lines(out.str());
@@ -984,6 +1017,68 @@ TEST(BatchRunner, JournalAppendFailureDegradesGracefully) {
   EXPECT_EQ(done, 2);
   EXPECT_NE(err.str().find("journal append failed"), std::string::npos);
   EXPECT_NE(err.str().find("0 records"), std::string::npos);
+  // The failures are visible to a metrics scrape, as the server's are.
+  EXPECT_GT(journal_append_errors_total(), errors_before);
+}
+
+TEST(JobLedger, BatchAndHttpTransportsShareOneLifecycle) {
+  // One problem job line through each transport, each with a journal: the
+  // reports must carry the same decoded extras and the journals the same
+  // lifecycle for the job's fingerprint.
+  const std::string body =
+      R"({"problem": "qap", "params": {"kind": "uniform", "n": 4,)"
+      R"( "seed": 171}, "solver": "sa", "max_batches": 30000, "seed": 1,)"
+      R"( "tag": "same"})";
+
+  const std::string batch_journal = fresh_journal_path("ledger_batch.jsonl");
+  service::BatchOptions options;
+  options.threads = 1;
+  options.journal_path = batch_journal;
+  std::istringstream in(body + "\n");
+  std::ostringstream out;
+  std::ostringstream err;
+  ASSERT_EQ(service::run_batch(in, out, err, options), 0);
+  const io::JsonValue batch_line = io::parse_json(out.str());
+  const std::string fingerprint = batch_line.find("fingerprint")->as_string();
+
+  const std::string api_journal = fresh_journal_path("ledger_api.jsonl");
+  net::JobApi::Config config;
+  config.threads = 1;
+  config.journal_path = api_journal;
+  net::JobApi api(config);
+  const net::ApiReply accepted = api.submit(body);
+  ASSERT_EQ(accepted.status, 202);
+  const io::JsonValue reply = io::parse_json(accepted.body);
+  EXPECT_EQ(reply.find("fingerprint")->as_string(), fingerprint);
+  // The reaper publishes the annotated report before it journals `done`.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!service::JobJournal::replay(api_journal).terminal(fingerprint)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const io::JsonValue status = io::parse_json(
+      api.status(static_cast<std::uint64_t>(reply.find("job_id")->as_int()))
+          .body);
+  EXPECT_EQ(status.find("state")->as_string(), "done");
+
+  const io::JsonValue* batch_extras =
+      batch_line.find("report")->find("extras");
+  const io::JsonValue* api_extras = status.find("report")->find("extras");
+  ASSERT_NE(batch_extras, nullptr);
+  ASSERT_NE(api_extras, nullptr);
+  for (const char* key : {"objective", "feasible", "verified", "model",
+                          "model_cache", "model_cache_hits"}) {
+    ASSERT_NE(batch_extras->find(key), nullptr) << key;
+    ASSERT_NE(api_extras->find(key), nullptr) << key;
+    EXPECT_EQ(batch_extras->find(key)->as_string(),
+              api_extras->find(key)->as_string())
+        << key;
+  }
+  const std::vector<std::string> lifecycle = {"submitted", "started",
+                                              "done"};
+  EXPECT_EQ(journal_events(batch_journal, fingerprint), lifecycle);
+  EXPECT_EQ(journal_events(api_journal, fingerprint), lifecycle);
 }
 
 TEST(BatchRunner, ModelLoadRetriesThroughInjectedFaults) {
@@ -1203,7 +1298,10 @@ TEST(SolverService, StatsSnapshotCountsRejectedAndCancelled) {
 // events_since: the incremental event reads behind the streaming endpoint.
 
 TEST(SolverService, EventsSinceAdvancesCursorWithoutRereads) {
-  SolverService svc(service_config(1));
+  // Ticks fire per wall-clock interval, so a slow (sanitized) build logs
+  // more of them; the bound keeps this test free of ring drops, which
+  // EventsSinceReportsGapAfterRingDrop covers.
+  SolverService svc(service_config(1, 1 << 14));
   JobSpec spec = budget_spec(shared_model(4), "greedy-restart", 4000, 11);
   spec.tick_seconds = 1e-4;
   const JobId id = svc.submit(std::move(spec));
