@@ -40,7 +40,6 @@
 #include "io/json_writer.hpp"
 #include "io/solution_io.hpp"
 #include "net/net_util.hpp"
-#include "net/shard_router.hpp"
 #include "net/solve_server.hpp"
 #include "problems/problem_registry.hpp"
 #include "qubo/model_info.hpp"
@@ -55,8 +54,7 @@ void usage(const std::string& prog) {
       << "       " << prog << " --problem <name[:path]> [options]\n"
       << "       " << prog << " batch <jobs.jsonl> [--jobs <n>] "
          "[--journal <path> [--resume]]\n"
-      << "       " << prog << " serve [--port <p>] [--shards <n> | "
-         "--shard-of <k>/<n>]\n"
+      << "       " << prog << " serve [--port <p>] [--shard-of <k>/<n>]\n"
       << "  --list-solvers              print the solver registry and exit\n"
       << "  --list-problems             print the problem registry and exit\n"
       << "  --problem <name[:path]>     solve a registered problem instead "
@@ -118,13 +116,7 @@ void usage(const std::string& prog) {
          "8080)\n"
       << "  --host <addr>               bind address (default 127.0.0.1)\n"
       << "  --jobs/--cache-mb/--time-limit/--attempts/--queue-limit/\n"
-      << "  --journal/--resume/--trace  as for batch, per shard (shard "
-         "workers write\n"
-      << "                              <path>.shard<k>)\n"
-      << "  --shards <n>                fork <n> shard workers behind this "
-         "server,\n"
-      << "                              routed by consistent hash of the "
-         "model key\n"
+      << "  --journal/--resume/--trace  as for batch\n"
       << "  --shard-of <k>/<n>          serve shard k of an externally "
          "balanced\n"
       << "                              group (misrouted requests get 421)\n"
@@ -237,8 +229,8 @@ int run_batch_command(const dabs::ArgParser& args) {
   return dabs::service::run_batch(in, std::cout, std::cerr, opts);
 }
 
-/// `dabs_cli serve`: the HTTP solve API over a local JobApi, a forked
-/// shard group (--shards), or one slice of an external group (--shard-of).
+/// `dabs_cli serve`: the HTTP solve API over a local JobApi, optionally one
+/// slice of an externally balanced group (--shard-of).
 int run_serve_command(const dabs::ArgParser& args) {
   const std::int64_t port = args.get_int("port", 8080);
   const std::string host = args.get("host").value_or("127.0.0.1");
@@ -247,16 +239,10 @@ int run_serve_command(const dabs::ArgParser& args) {
   const double time_limit = args.get_double("time-limit", 5.0);
   const std::int64_t attempts = args.get_int("attempts", 3);
   const std::int64_t queue_limit = args.get_int("queue-limit", 0);
-  const std::int64_t shards = args.get_int("shards", 1);
   const auto shard_of = args.get("shard-of");
   if (port < 0 || port > 65535 || jobs < 1 || cache_mb < 0 ||
-      time_limit < 0 || attempts < 1 || attempts > 100 || queue_limit < 0 ||
-      shards < 1) {
+      time_limit < 0 || attempts < 1 || attempts > 100 || queue_limit < 0) {
     std::cerr << "serve: option out of range (see --help)\n";
-    return 2;
-  }
-  if (shard_of && shards > 1) {
-    std::cerr << "serve: --shards and --shard-of are mutually exclusive\n";
     return 2;
   }
 
@@ -296,8 +282,6 @@ int run_serve_command(const dabs::ArgParser& args) {
     }
     api.shard_idx = k;
     api.shards = n;
-    config.shard_of_idx = k;
-    config.shard_of_total = n;
   }
   for (const std::string& name : args.unused()) {
     std::cerr << "warning: unknown option --" << name << "\n";
@@ -306,22 +290,9 @@ int run_serve_command(const dabs::ArgParser& args) {
   std::signal(SIGINT, on_batch_signal);
   std::signal(SIGTERM, on_batch_signal);
 
-  // Sharded topology forks the workers FIRST: fork() and threads do not
-  // mix, and both the JobApi (service pool, reaper) and the journal come
-  // alive per worker, on the worker's side of the fork.
-  std::unique_ptr<dabs::net::ShardGroup> group;
-  std::unique_ptr<dabs::net::JobBackend> backend;
-  if (shards > 1) {
-    group = std::make_unique<dabs::net::ShardGroup>(
-        api, static_cast<std::size_t>(shards));
-    backend = std::make_unique<dabs::net::ShardBackend>(*group);
-  } else {
-    backend = std::make_unique<dabs::net::JobApi>(api);
-  }
-
-  dabs::net::SolveServer server(config, *backend);
+  dabs::net::JobApi job_api(api);
+  dabs::net::SolveServer server(config, job_api);
   std::cerr << "dabs-serve: listening on " << host << ":" << server.port();
-  if (shards > 1) std::cerr << " (" << shards << " shards)";
   if (shard_of) std::cerr << " (shard " << *shard_of << ")";
   std::cerr << "\n";
   server.run(&g_batch_interrupted);
@@ -352,8 +323,8 @@ void parse_opts(const std::string& spec, dabs::SolverOptions& opts) {
 int main(int argc, char** argv) {
   using namespace dabs;
   // Process-wide: every socket/stdout write path (batch report stream,
-  // HTTP server, shard RPC) sees a dead peer as EPIPE, never as a
-  // process-killing signal.
+  // HTTP server) sees a dead peer as EPIPE, never as a process-killing
+  // signal.
   net::ignore_sigpipe();
   const ArgParser args(argc, argv);
   try {

@@ -171,17 +171,23 @@ ApiReply JobApi::status(std::uint64_t id) {
   }
   const service::JobId local = id / config_.shards;
   std::lock_guard lock(mu_);
-  const auto done = finished_.find(local);
-  if (done != finished_.end()) {
-    return {200, render_status(id, done->second.snap,
-                               done->second.fingerprint)};
-  }
   try {
-    const service::JobSnapshot snap = ledger_.service().snapshot(local);
-    return {200, render_status(id, snap, ledger_.fingerprint_of(local))};
+    if (finished_.count(local) == 0) {
+      const service::JobSnapshot snap = ledger_.service().snapshot(local);
+      if (!service::is_terminal(snap.state)) {
+        return {200, render_status(id, snap, ledger_.fingerprint_of(local))};
+      }
+      finish_locked(local);
+    }
   } catch (const std::out_of_range&) {
+    // Never submitted, or released and evicted from retention.
+  }
+  const auto done = finished_.find(local);
+  if (done == finished_.end()) {
     return {404, error_body("unknown job id " + std::to_string(id))};
   }
+  return {200,
+          render_status(id, done->second.snap, done->second.fingerprint)};
 }
 
 ApiReply JobApi::events(std::uint64_t id, std::uint64_t* cursor, bool* done,
@@ -217,6 +223,9 @@ ApiReply JobApi::events(std::uint64_t id, std::uint64_t* cursor, bool* done,
   } else {
     try {
       batch = ledger_.service().events_since(local, *cursor);
+      // The page is the same either way; finishing first orders the
+      // terminal journal record before the client sees the state.
+      if (service::is_terminal(batch.state)) finish_locked(local);
     } catch (const std::out_of_range&) {
       return {404, error_body("unknown job id " + std::to_string(id))};
     }
@@ -320,12 +329,6 @@ ApiReply JobApi::metrics() {
   return {200, out.str()};
 }
 
-std::string JobApi::metrics_snapshot_json() {
-  std::ostringstream out;
-  obs::write_snapshot_json(obs::MetricsRegistry::global().snapshot(), out);
-  return out.str();
-}
-
 void JobApi::reaper_loop() {
   service::SolverService& service = ledger_.service();
   while (true) {
@@ -338,24 +341,27 @@ void JobApi::reaper_loop() {
       id = service.wait_any_finished_for(0.05);
       if (!id) continue;
     }
-    const service::JobId local = *id;
     std::lock_guard lock(mu_);
     try {
-      // Retention: the annotated snapshot stays queryable after the
-      // ledger releases the service record.
-      ledger_.finish(local, to_global(local),
-                     [this, local](service::JobLedger::Finished& done) {
-                       finished_[local] = std::move(done);
-                       finish_order_.push_back(local);
-                       while (finish_order_.size() > config_.retention_jobs) {
-                         finished_.erase(finish_order_.front());
-                         finish_order_.pop_front();
-                       }
-                     });
+      finish_locked(*id);
     } catch (const std::out_of_range&) {
-      // Released elsewhere; nothing to retain.
+      // A status/events read finished and released it first.
     }
   }
+}
+
+void JobApi::finish_locked(service::JobId local) {
+  // Retention: the annotated snapshot stays queryable after the ledger
+  // releases the service record.
+  ledger_.finish(local, to_global(local),
+                 [this, local](service::JobLedger::Finished& done) {
+                   finished_[local] = std::move(done);
+                   finish_order_.push_back(local);
+                   while (finish_order_.size() > config_.retention_jobs) {
+                     finished_.erase(finish_order_.front());
+                     finish_order_.pop_front();
+                   }
+                 });
 }
 
 }  // namespace dabs::net

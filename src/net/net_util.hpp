@@ -1,8 +1,8 @@
-// Small POSIX socket helpers shared by the HTTP server, the blocking test
-// client, and the shard RPC transport: RAII fd ownership and read/write
-// wrappers that survive the failure modes a naive loop silently mishandles
-// — partial writes, EINTR, and EPIPE on a peer that hung up (the process
-// ignores SIGPIPE; broken pipes surface as errors here, never as signals).
+// Small POSIX socket helpers shared by the HTTP server and the blocking
+// client: RAII fd ownership and read/write wrappers that survive the
+// failure modes a naive loop silently mishandles — partial writes, EINTR,
+// and EPIPE on a peer that hung up (the process ignores SIGPIPE; broken
+// pipes surface as errors here, never as signals).
 #pragma once
 
 #include <cstddef>
@@ -57,10 +57,6 @@ long write_some(int fd, const void* data, std::size_t size);
 /// 0 for EOF, -1 with errno == EAGAIN when nothing is ready, -1 otherwise
 /// on a hard error.
 long read_some(int fd, void* data, std::size_t size);
-
-/// Blocking read of exactly `size` bytes (EINTR retried).  Returns false
-/// on EOF or error before the buffer filled.
-bool read_exact(int fd, void* data, std::size_t size);
 
 /// Ignores SIGPIPE process-wide so every socket/stdout write path reports
 /// a dead peer as EPIPE from write() instead of killing the process.

@@ -8,9 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "io/json_reader.hpp"
-#include "io/json_writer.hpp"
-
 namespace dabs::obs {
 namespace {
 
@@ -325,152 +322,6 @@ void render_prometheus(const MetricsSnapshot& snapshot, std::ostream& out) {
           << sample.count << '\n';
     }
   }
-}
-
-void write_snapshot_json(const MetricsSnapshot& snapshot, std::ostream& out) {
-  io::JsonWriter w(out);
-  w.begin_object();
-  w.begin_array("families");
-  for (const auto& family : snapshot) {
-    w.begin_object();
-    w.value("name", family.name);
-    w.value("help", family.help);
-    w.value("kind", to_string(family.kind));
-    w.begin_array("samples");
-    for (const auto& sample : family.samples) {
-      w.begin_object();
-      w.begin_object("labels");
-      for (const auto& [k, v] : sample.labels) w.value(k, v);
-      w.end_object();
-      if (family.kind == MetricKind::kHistogram) {
-        w.begin_array("bounds");
-        for (double b : sample.bounds) w.element(b);
-        w.end_array();
-        w.begin_array("buckets");
-        for (std::uint64_t c : sample.buckets) w.element(c);
-        w.end_array();
-        w.value("count", sample.count);
-        w.value("sum", sample.sum);
-      } else {
-        w.value("value", sample.value);
-      }
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-namespace {
-
-MetricKind kind_from_string(const std::string& s) {
-  if (s == "counter") return MetricKind::kCounter;
-  if (s == "gauge") return MetricKind::kGauge;
-  if (s == "histogram") return MetricKind::kHistogram;
-  throw std::invalid_argument("metrics: unknown kind in snapshot: " + s);
-}
-
-}  // namespace
-
-MetricsSnapshot parse_snapshot_json(const std::string& text) {
-  const io::JsonValue root = io::parse_json(text);
-  const io::JsonValue* families = root.find("families");
-  if (families == nullptr || !families->is_array()) {
-    throw std::invalid_argument("metrics: snapshot missing families array");
-  }
-  MetricsSnapshot out;
-  for (const auto& fam : families->as_array()) {
-    FamilySnapshot fs;
-    const io::JsonValue* name = fam.find("name");
-    const io::JsonValue* kind = fam.find("kind");
-    if (name == nullptr || kind == nullptr) {
-      throw std::invalid_argument("metrics: snapshot family missing name/kind");
-    }
-    fs.name = name->as_string();
-    fs.kind = kind_from_string(kind->as_string());
-    if (const io::JsonValue* help = fam.find("help")) {
-      fs.help = help->as_string();
-    }
-    if (const io::JsonValue* samples = fam.find("samples")) {
-      for (const auto& s : samples->as_array()) {
-        SampleSnapshot ss;
-        if (const io::JsonValue* labels = s.find("labels")) {
-          for (const auto& [k, v] : labels->as_object()) {
-            ss.labels.emplace_back(k, v.as_string());
-          }
-        }
-        if (fs.kind == MetricKind::kHistogram) {
-          if (const io::JsonValue* bounds = s.find("bounds")) {
-            for (const auto& b : bounds->as_array()) {
-              ss.bounds.push_back(b.as_double());
-            }
-          }
-          if (const io::JsonValue* buckets = s.find("buckets")) {
-            for (const auto& b : buckets->as_array()) {
-              ss.buckets.push_back(static_cast<std::uint64_t>(b.as_double()));
-            }
-          }
-          if (const io::JsonValue* count = s.find("count")) {
-            ss.count = static_cast<std::uint64_t>(count->as_double());
-          }
-          if (const io::JsonValue* sum = s.find("sum")) {
-            ss.sum = sum->as_double();
-          }
-        } else if (const io::JsonValue* value = s.find("value")) {
-          ss.value = value->as_double();
-        }
-        fs.samples.push_back(std::move(ss));
-      }
-    }
-    out.push_back(std::move(fs));
-  }
-  return out;
-}
-
-void add_label(MetricsSnapshot& snapshot, const std::string& key,
-               const std::string& value) {
-  for (auto& family : snapshot) {
-    for (auto& sample : family.samples) {
-      bool present = false;
-      for (const auto& [k, v] : sample.labels) {
-        if (k == key) {
-          present = true;
-          break;
-        }
-      }
-      if (!present) sample.labels.emplace_back(key, value);
-    }
-  }
-}
-
-MetricsSnapshot merge_snapshots(std::vector<MetricsSnapshot> parts) {
-  MetricsSnapshot out;
-  for (auto& part : parts) {
-    for (auto& family : part) {
-      FamilySnapshot* target = nullptr;
-      for (auto& existing : out) {
-        if (existing.name == family.name) {
-          target = &existing;
-          break;
-        }
-      }
-      if (target == nullptr) {
-        out.push_back(std::move(family));
-        continue;
-      }
-      if (target->kind != family.kind) continue;  // defensive: drop mismatches
-      for (auto& sample : family.samples) {
-        target->samples.push_back(std::move(sample));
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FamilySnapshot& a, const FamilySnapshot& b) {
-              return a.name < b.name;
-            });
-  return out;
 }
 
 }  // namespace dabs::obs

@@ -45,7 +45,8 @@ namespace dabs::service {
 /// The spec key of a parsed job: the problem spec + params joined with
 /// 0x1f separators, or "<format>#<path>" for file jobs.  The spec, not the
 /// resolved model key — computing it must not run a generator — so it is
-/// stable across processes.  Keys Problem dedupe and shard routing alike.
+/// stable across processes.  Keys Problem dedupe and `--shard-of` routing
+/// alike.
 std::string routing_key(const BatchJob& job);
 
 class JobLedger {

@@ -155,7 +155,7 @@ struct JobSnapshot {
 /// Maps one (ideally terminal) snapshot onto the obs trace model: queued /
 /// run spans from the lifecycle timestamps, tick instants from the event
 /// log.  Callers override job_id afterwards when they expose composed ids
-/// (the sharded server's global ids).
+/// (a `--shard-of` server's global ids).
 obs::JobTrace job_trace(const JobSnapshot& snapshot);
 
 /// Incremental slice of one job's event log for streaming consumers (the
