@@ -1,12 +1,16 @@
 // Micro benchmarks (google-benchmark): per-iteration cost of each main
-// search algorithm and throughput of a whole batch search.
+// search algorithm, the straight walk on K2000, and throughput of a whole
+// batch search.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "evolve/genetic_ops.hpp"
 #include "problems/maxcut.hpp"
 #include "qubo/search_state.hpp"
 #include "search/batch_search.hpp"
 #include "search/registry.hpp"
+#include "search/straight.hpp"
 
 namespace dabs {
 namespace {
@@ -33,6 +37,40 @@ void BM_MainSearchIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_MainSearchIteration)
     ->DenseRange(0, static_cast<int>(kMainSearchCount) - 1);
+
+// Straight walk (batch Step 0) on K2000: each iteration walks the state
+// to the next of a ring of random targets, about n/2 = 1000 flips apart.
+// items_per_second counts walk flips, each one choice among the bits still
+// differing plus one fused flip_and_scan — compare BM_FlipAndScanK2000 in
+// bench_micro_incremental for the kernel share.
+void BM_StraightWalkK2000(benchmark::State& state) {
+  const auto backend = static_cast<QuboBackend>(state.range(0));
+  static const QuboModel csr =
+      problems::maxcut_to_qubo(problems::make_k2000(), QuboBackend::kCsr);
+  static const QuboModel dense =
+      problems::maxcut_to_qubo(problems::make_k2000(), QuboBackend::kDense);
+  const QuboModel& m = backend == QuboBackend::kDense ? dense : csr;
+  SearchState s(m);
+  Rng rng(6);
+  std::vector<BitVector> targets;
+  for (int t = 0; t < 16; ++t) {
+    targets.push_back(random_bit_vector(m.size(), rng));
+  }
+  s.reset_to(targets.back());
+  std::uint64_t flips = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    flips += straight_walk(s, targets[next]);
+    benchmark::DoNotOptimize(s.best_energy());
+    next = (next + 1) % targets.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(flips));
+  state.SetLabel(to_string(backend));
+}
+BENCHMARK(BM_StraightWalkK2000)
+    ->Arg(static_cast<int>(QuboBackend::kCsr))
+    ->Arg(static_cast<int>(QuboBackend::kDense))
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BatchSearchThroughput(benchmark::State& state) {
   const QuboModel& m = k300();

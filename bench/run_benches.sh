@@ -95,15 +95,31 @@ elif [[ -f "${output}" ]]; then
 fi
 
 # Merge: one object keyed by suite name, each holding the full
-# google-benchmark report (context + benchmarks array).
-python3 - "${output}" "${tmpdir}" "${ran[@]}" <<'PY'
-import json, sys
-output, tmpdir, suites = sys.argv[1], sys.argv[2], sys.argv[3:]
+# google-benchmark report (context + benchmarks array).  Each context is
+# stamped with provenance next to google-benchmark's host and CPU fields:
+# the source revision, and the compiler, build type and flags the build
+# tree baked into its generated version header.
+git_rev="$(git -C "${repo_root}" describe --always --dirty 2>/dev/null || echo unknown)"
+python3 - "${output}" "${tmpdir}" "${build_dir}/generated/dabs_version.hpp" \
+  "${git_rev}" "${ran[@]}" <<'PY'
+import json, re, sys
+output, tmpdir, version_header, git_rev = sys.argv[1:5]
+suites = sys.argv[5:]
+provenance = {"git": git_rev}
+try:
+    with open(version_header) as f:
+        baked = dict(re.findall(r'^#define DABS_(\w+) "(.*)"$', f.read(), re.M))
+    provenance.update(compiler=baked.get("CXX_COMPILER", "unknown"),
+                      build_type=baked.get("BUILD_TYPE", "unknown"),
+                      cxx_flags=baked.get("CXX_FLAGS", "unknown"))
+except OSError as e:
+    print(f"provenance: {e}", file=sys.stderr)
 merged = {}
 for s in suites:
     try:
         with open(f"{tmpdir}/{s}.json") as f:
             merged[s] = json.load(f)
+        merged[s].setdefault("context", {}).update(provenance)
     except (OSError, json.JSONDecodeError) as e:  # e.g. filtered-out suite
         print(f"skip {s}: {e}", file=sys.stderr)
 with open(output, "w") as f:

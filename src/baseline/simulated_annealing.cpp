@@ -21,7 +21,8 @@ namespace {
 double calibrate_t0(const SearchState& state) {
   // Mean |Delta| at the starting point; a classic cheap T0 heuristic.
   double sum = 0.0;
-  for (const Energy d : state.deltas()) sum += std::abs(double(d));
+  const auto n = static_cast<VarIndex>(state.size());
+  for (VarIndex k = 0; k < n; ++k) sum += std::abs(double(state.delta(k)));
   const double mean = sum / double(state.size());
   return mean > 0 ? mean : 1.0;
 }

@@ -108,11 +108,9 @@ QuboModel embed_qubo(const QuboModel& logical, const ChimeraGraph& g,
   if (chain_strength == 0) {
     // Breaking one chain edge can at best remove the variable's total
     // incident weight from the energy; exceed that.
-    Energy worst = 0;
-    for (VarIndex i = 0; i < n; ++i) {
-      worst = std::max(worst, logical.flip_bound(i));
-    }
-    DABS_CHECK(worst + 1 <= std::numeric_limits<Weight>::max() / 2,
+    const std::uint64_t worst = logical.delta_bound();
+    DABS_CHECK(worst + 1 <= static_cast<std::uint64_t>(
+                                std::numeric_limits<Weight>::max() / 2),
                "automatic chain strength overflows int32");
     chain_strength = static_cast<Weight>(worst + 1);
   }

@@ -90,6 +90,10 @@ QuboModel QuboBuilder::build() {
     m.val_[cursor[e.j]++] = w;
   }
   m.max_degree_ = deg.empty() ? 0 : *std::max_element(deg.begin(), deg.end());
+  for (VarIndex i = 0; i < n; ++i) {
+    m.delta_bound_ = std::max(m.delta_bound_,
+                              static_cast<std::uint64_t>(m.flip_bound(i)));
+  }
 
   // Resolve the kernel backend and, when dense, materialize the row-major
   // matrix the flip kernel streams (diagonal slots stay zero; the diagonal

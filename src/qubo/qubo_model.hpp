@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -91,8 +92,15 @@ class QuboModel {
   /// All Delta_k(X) from scratch; used to (re)initialize SearchState.
   void delta_all(const BitVector& x, std::vector<Energy>& out) const;
 
-  /// Largest possible |E| change of a single flip: bound used by tests.
+  /// Largest possible |E| change of a single flip of bit i:
+  /// |W_ii| + sum_k |W_ik|.
   Energy flip_bound(VarIndex i) const;
+
+  /// max_i flip_bound(i): bounds every Delta_k of every solution, and every
+  /// partial row sum the flip kernels form.  Computed once by
+  /// QuboBuilder::build(); SearchState and BulkSearchState pick their Delta
+  /// storage width from it.
+  std::uint64_t delta_bound() const noexcept { return delta_bound_; }
 
   /// One-line description, e.g. "QUBO n=2000 edges=1999000 dense
   /// backend=dense".
@@ -107,6 +115,7 @@ class QuboModel {
   std::vector<Weight> val_;           // size 2*edges
   std::vector<Weight> dense_;         // size n*n when backend_ == kDense
   std::size_t max_degree_ = 0;
+  std::uint64_t delta_bound_ = 0;
   QuboBackend backend_ = QuboBackend::kCsr;
 };
 

@@ -11,18 +11,36 @@ namespace dabs {
 SearchState::SearchState(const QuboModel& model)
     : model_(&model),
       x_(model.size()),
-      delta_(model.size()),
+      narrow_(model.delta_bound() <=
+              std::uint64_t{std::numeric_limits<std::int32_t>::max()}),
+      delta32_(narrow_ ? model.size() : 0),
+      delta64_(narrow_ ? 0 : model.size()),
       sigma_(model.size(), std::int8_t{-1}),
       best_(model.size()),
       scratch_(model.size()) {
   reset();
 }
 
+template <>
+std::int32_t* SearchState::delta_data<std::int32_t>() noexcept {
+  return delta32_.data();
+}
+
+template <>
+Energy* SearchState::delta_data<Energy>() noexcept {
+  return delta64_.data();
+}
+
 void SearchState::reset() {
   x_.clear();
   energy_ = 0;
   const auto n = static_cast<VarIndex>(size());
-  for (VarIndex k = 0; k < n; ++k) delta_[k] = model_->diag(k);
+  // |W_kk| <= delta_bound(), so the narrow store is exact.
+  if (narrow_) {
+    for (VarIndex k = 0; k < n; ++k) delta32_[k] = model_->diag(k);
+  } else {
+    for (VarIndex k = 0; k < n; ++k) delta64_[k] = model_->diag(k);
+  }
   std::fill(sigma_.begin(), sigma_.end(), std::int8_t{-1});
   flips_ = 0;
   reset_best();
@@ -32,7 +50,14 @@ void SearchState::reset_to(const BitVector& x) {
   DABS_CHECK(x.size() == size(), "solution length mismatch");
   x_ = x;
   energy_ = model_->energy(x_);
-  model_->delta_all(x_, delta_);
+  if (narrow_) {
+    // Every Delta is bounded by delta_bound(), so narrowing is exact.
+    std::vector<Energy> full;
+    model_->delta_all(x_, full);
+    std::copy(full.begin(), full.end(), delta32_.begin());
+  } else {
+    model_->delta_all(x_, delta64_);
+  }
   for (std::size_t k = 0; k < sigma_.size(); ++k) {
     sigma_[k] = static_cast<std::int8_t>(sigma(x_.get(k)));
   }
@@ -59,6 +84,7 @@ void SearchState::record_best_neighbor(VarIndex arg, Energy e) {
   best_energy_ = e;
 }
 
+template <typename D>
 void SearchState::dense_update_block(const Weight* __restrict row,
                                      std::int32_t si, std::size_t b0,
                                      std::size_t b1) {
@@ -67,26 +93,28 @@ void SearchState::dense_update_block(const Weight* __restrict row,
   // (m == 0 keeps w, m == -1 yields -w) because the baseline x86-64 target
   // has no vector 64-bit multiply — this form auto-vectorizes under plain
   // SSE2.  Safe because the builder rejects INT32_MIN couplings.  row[i]
-  // is 0, so Delta_i is left for Eq. 5.
-  Energy* __restrict d = delta_.data();
+  // is 0, so Delta_i is left for Eq. 5.  In int32 storage the sum is a
+  // true Delta, bounded by delta_bound(), so it cannot overflow.
+  D* __restrict d = delta_data<D>();
   const std::int8_t* __restrict sg = sigma_.data();
   if (si >= 0) {
     for (std::size_t k = b0; k < b1; ++k) {
       const std::int32_t m = std::int32_t{sg[k]} >> 7;  // sg<0 ? -1 : 0
-      d[k] += Energy{(row[k] ^ m) - m};
+      d[k] += D{(row[k] ^ m) - m};
     }
   } else {
     for (std::size_t k = b0; k < b1; ++k) {
       const std::int32_t m = ~(std::int32_t{sg[k]} >> 7);  // sg<0 ? 0 : -1
-      d[k] += Energy{(row[k] ^ m) - m};
+      d[k] += D{(row[k] ^ m) - m};
     }
   }
 }
 
+template <typename D>
 void SearchState::reduce_block(std::size_t b0, std::size_t b1, Energy& mn,
-                               Energy& mx) const {
-  const Energy* __restrict d = delta_.data();
-  Energy lo = d[b0], hi = d[b0];
+                               Energy& mx) noexcept {
+  const D* __restrict d = delta_data<D>();
+  D lo = d[b0], hi = d[b0];
   for (std::size_t k = b0 + 1; k < b1; ++k) {
     lo = d[k] < lo ? d[k] : lo;
     hi = d[k] > hi ? d[k] : hi;
@@ -95,40 +123,54 @@ void SearchState::reduce_block(std::size_t b0, std::size_t b1, Energy& mn,
   mx = hi;
 }
 
+template <typename D>
 void SearchState::finish_flip(VarIndex i, std::int32_t si) {
-  energy_ += delta_[i];
-  delta_[i] = -delta_[i];  // Eq. 5
+  D* d = delta_data<D>();
+  energy_ += d[i];
+  d[i] = -d[i];  // Eq. 5
   sigma_[i] = static_cast<std::int8_t>(-si);
   x_.flip(i);
   ++flips_;
   maybe_record_visited();
 }
 
-void SearchState::flip(VarIndex i) {
+template <typename D>
+void SearchState::flip_impl(VarIndex i) {
   DABS_ASSERT(i < size());
   const std::int32_t si = sigma_[i];  // sigma of the *old* value of bit i
   if (model_->has_dense_rows()) {
-    dense_update_block(model_->dense_row(i), si, 0, size());
+    dense_update_block<D>(model_->dense_row(i), si, 0, size());
   } else {
     const auto nbrs = model_->neighbors(i);
     const auto w = model_->weights(i);
     const std::int8_t* sg = sigma_.data();
+    D* d = delta_data<D>();
     for (std::size_t t = 0; t < nbrs.size(); ++t) {
       const VarIndex k = nbrs[t];
       // Eq. 4: Delta_k(f_i(X)) = Delta_k(X) + W_{i,k} sigma(x_i) sigma(x_k).
-      delta_[k] += Energy{w[t]} * (si * std::int32_t{sg[k]});
+      d[k] += D{w[t]} * (si * std::int32_t{sg[k]});
     }
   }
-  finish_flip(i, si);
+  finish_flip<D>(i, si);
 }
 
+void SearchState::flip(VarIndex i) {
+  if (narrow_) {
+    flip_impl<std::int32_t>(i);
+  } else {
+    flip_impl<Energy>(i);
+  }
+}
+
+template <typename D>
 ScanResult SearchState::finish_scan(Energy mn, Energy mx,
                                     std::size_t mn_block) {
   // The first-occurrence argmin lives in the first block that attained mn.
+  const D* d = delta_data<D>();
   const std::size_t b1 = std::min(size(), mn_block + kScanBlock);
   VarIndex arg = 0;
   for (std::size_t k = mn_block; k < b1; ++k) {
-    if (delta_[k] == mn) {
+    if (d[k] == mn) {
       arg = static_cast<VarIndex>(k);
       break;
     }
@@ -137,7 +179,8 @@ ScanResult SearchState::finish_scan(Energy mn, Energy mx,
   return {mn, mx, arg};
 }
 
-ScanResult SearchState::scan() {
+template <typename D>
+ScanResult SearchState::scan_impl() {
   const std::size_t n = size();
   DABS_ASSERT(n > 0);
   Energy mn = std::numeric_limits<Energy>::max();
@@ -146,21 +189,26 @@ ScanResult SearchState::scan() {
   for (std::size_t b0 = 0; b0 < n; b0 += kScanBlock) {
     const std::size_t b1 = std::min(n, b0 + kScanBlock);
     Energy bmn, bmx;
-    reduce_block(b0, b1, bmn, bmx);
+    reduce_block<D>(b0, b1, bmn, bmx);
     if (bmn < mn) {
       mn = bmn;
       mn_block = b0;
     }
     mx = bmx > mx ? bmx : mx;
   }
-  return finish_scan(mn, mx, mn_block);
+  return finish_scan<D>(mn, mx, mn_block);
 }
 
-ScanResult SearchState::flip_and_scan(VarIndex i) {
+ScanResult SearchState::scan() {
+  return narrow_ ? scan_impl<std::int32_t>() : scan_impl<Energy>();
+}
+
+template <typename D>
+ScanResult SearchState::flip_and_scan_impl(VarIndex i) {
   if (!model_->has_dense_rows()) {
     // Sparse flips touch O(deg) scattered deltas; nothing to fuse.
-    flip(i);
-    return scan();
+    flip_impl<D>(i);
+    return scan_impl<D>();
   }
   DABS_ASSERT(i < size());
   const std::size_t n = size();
@@ -169,27 +217,33 @@ ScanResult SearchState::flip_and_scan(VarIndex i) {
   // Eq. 5 and the X/E/BEST bookkeeping come first: row[i] == 0 means the
   // blocked Eq. 4 sweep below never touches Delta_i, so the reduction sees
   // every delta in its final state while it is still cache-hot.
-  finish_flip(i, si);
+  finish_flip<D>(i, si);
   Energy mn = std::numeric_limits<Energy>::max();
   Energy mx = std::numeric_limits<Energy>::min();
   std::size_t mn_block = 0;
   for (std::size_t b0 = 0; b0 < n; b0 += kScanBlock) {
     const std::size_t b1 = std::min(n, b0 + kScanBlock);
-    dense_update_block(row, si, b0, b1);
+    dense_update_block<D>(row, si, b0, b1);
     Energy bmn, bmx;
-    reduce_block(b0, b1, bmn, bmx);
+    reduce_block<D>(b0, b1, bmn, bmx);
     if (bmn < mn) {
       mn = bmn;
       mn_block = b0;
     }
     mx = bmx > mx ? bmx : mx;
   }
-  return finish_scan(mn, mx, mn_block);
+  return finish_scan<D>(mn, mx, mn_block);
+}
+
+ScanResult SearchState::flip_and_scan(VarIndex i) {
+  return narrow_ ? flip_and_scan_impl<std::int32_t>(i)
+                 : flip_and_scan_impl<Energy>(i);
 }
 
 bool SearchState::is_local_minimum() const {
-  for (const Energy d : delta_) {
-    if (d < 0) return false;
+  const auto n = static_cast<VarIndex>(size());
+  for (VarIndex k = 0; k < n; ++k) {
+    if (delta(k) < 0) return false;
   }
   return true;
 }

@@ -16,8 +16,15 @@
 // min/argmin/max reduction over Delta that opportunistically improves BEST.
 // flip_and_scan() fuses Step 3 of one iteration with Step 1 of the next,
 // block by block on the dense backend so each Delta block is reduced while
-// still cache-hot.  All arithmetic is exact int64, so every backend and
-// kernel variant is bit-identical.
+// still cache-hot.
+//
+// Delta storage width is chosen from the model: int32 when
+// QuboModel::delta_bound() fits (every +-1 MaxCut instance, K2000
+// included), which halves the bytes each flip streams and lets the
+// reduction vectorize; int64 otherwise.  Every stored value is a true
+// Delta of some reachable state, so the narrow path never overflows.  All
+// arithmetic is exact integer math, so every backend, width and kernel
+// variant is bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +49,7 @@ class SearchState {
   explicit SearchState(const QuboModel& model);
 
   const QuboModel& model() const noexcept { return *model_; }
-  std::size_t size() const noexcept { return delta_.size(); }
+  std::size_t size() const noexcept { return sigma_.size(); }
 
   /// Resets to the zero vector in O(n) without touching the matrix
   /// (the paper's batch-search starting point).
@@ -53,8 +60,12 @@ class SearchState {
 
   const BitVector& solution() const noexcept { return x_; }
   Energy energy() const noexcept { return energy_; }
-  Energy delta(VarIndex k) const { return delta_[k]; }
-  std::span<const Energy> deltas() const noexcept { return delta_; }
+  Energy delta(VarIndex k) const {
+    return narrow_ ? Energy{delta32_[k]} : delta64_[k];
+  }
+  /// Bytes per stored Delta: 4 when model().delta_bound() fits int32,
+  /// else 8.
+  std::size_t delta_width() const noexcept { return narrow_ ? 4 : 8; }
 
   /// Cached spins sigma(x_k) as int8 ±1, always in sync with solution().
   std::span<const std::int8_t> sigmas() const noexcept { return sigma_; }
@@ -95,22 +106,39 @@ class SearchState {
   /// Records BEST <- f_{arg}(X) with energy e through the scratch buffer
   /// (word copy + swap; no per-improvement allocation).
   void record_best_neighbor(VarIndex arg, Energy e);
+
+  // Kernels, instantiated for D = int32_t (narrow_) and int64_t.
+  /// The active Delta array: delta32_ or delta64_.
+  template <typename D>
+  D* delta_data() noexcept;
+  template <typename D>
+  void flip_impl(VarIndex i);
+  template <typename D>
+  ScanResult scan_impl();
+  template <typename D>
+  ScanResult flip_and_scan_impl(VarIndex i);
   /// Eq. 4 over one dense block [b0, b1) of Delta (row streamed, branchless).
+  template <typename D>
   void dense_update_block(const Weight* row, std::int32_t si, std::size_t b0,
                           std::size_t b1);
   /// Branchless min/max over one block; returns {block_min, block_max}.
+  template <typename D>
   void reduce_block(std::size_t b0, std::size_t b1, Energy& mn,
-                    Energy& mx) const;
+                    Energy& mx) noexcept;
   /// Shared tail of flip()/flip_and_scan(): Eq. 5 and the x/sigma updates.
+  template <typename D>
   void finish_flip(VarIndex i, std::int32_t si);
   /// Locates the first argmin in [b0, b1) and applies the BEST update.
+  template <typename D>
   ScanResult finish_scan(Energy mn, Energy mx, std::size_t mn_block);
 
   const QuboModel* model_;
   BitVector x_;
   Energy energy_ = 0;
-  std::vector<Energy> delta_;
-  std::vector<std::int8_t> sigma_;  // sigma_[k] == sigma(x_.get(k))
+  bool narrow_;                        // Delta stored as int32
+  std::vector<std::int32_t> delta32_;  // size n when narrow_, else empty
+  std::vector<Energy> delta64_;        // size n when !narrow_, else empty
+  std::vector<std::int8_t> sigma_;     // sigma_[k] == sigma(x_.get(k))
   std::uint64_t flips_ = 0;
 
   BitVector best_;

@@ -16,27 +16,6 @@ namespace {
 constexpr std::size_t kLanes = BulkSearchState::kLanesPerBlock;
 constexpr std::size_t kChunkMax = BulkSearchState::kMaxChunk;
 
-/// Worst-case |Delta_k| over every solution: |W_kk| + sum_i |W_ik|.  Every
-/// intermediate the kernels compute (stored deltas, rank-B partial sums,
-/// per-chunk replays) is a true Delta of some reachable state or a partial
-/// row sum, so it is bounded by this value — the basis for the narrow-width
-/// engine selection.
-std::uint64_t delta_bound(const QuboModel& model) {
-  std::uint64_t bound = 0;
-  const auto n = static_cast<VarIndex>(model.size());
-  for (VarIndex k = 0; k < n; ++k) {
-    std::uint64_t row = static_cast<std::uint64_t>(
-        model.diag(k) < 0 ? -std::int64_t{model.diag(k)}
-                          : std::int64_t{model.diag(k)});
-    for (const Weight w : model.weights(k)) {
-      row += static_cast<std::uint64_t>(w < 0 ? -std::int64_t{w}
-                                              : std::int64_t{w});
-    }
-    bound = std::max(bound, row);
-  }
-  return bound;
-}
-
 /// Rank-B dense pass (the compute-bound core): for every k, accumulate the
 /// B chunk rows weighted by the k-independent lane factors h, then fold in
 /// sigma_k once.  B is a compile-time constant so the b-loop unrolls and
@@ -569,7 +548,10 @@ namespace {
 
 std::unique_ptr<BulkEngine> make_engine(const QuboModel& model,
                                         std::size_t replicas) {
-  const std::uint64_t bound = delta_bound(model);
+  // Every intermediate the kernels form (stored deltas, rank-B partial
+  // sums, per-chunk replays) is a true Delta or a partial row sum, so it
+  // is bounded by delta_bound().
+  const std::uint64_t bound = model.delta_bound();
   if (bound <= static_cast<std::uint64_t>(
                    std::numeric_limits<std::int16_t>::max()) &&
       model.size() <= 32767) {

@@ -28,11 +28,12 @@
 // a single-replica SearchState fed the same flip sequence, on both
 // backends and at any SIMD width.
 //
-// Delta storage width is chosen per model: int16 when the worst-case
-// |Delta| bound max_k(|W_kk| + sum_i |W_ik|) fits (true for every +-1
-// MaxCut instance incl. K2000) — quadrupling the lanes per vector register
-// versus the scalar int64 kernel — int32/int64 otherwise.  The choice is
-// an internal optimization; results are identical across widths.
+// Delta storage width is chosen per model from QuboModel::delta_bound()
+// = max_k(|W_kk| + sum_i |W_ik|), the gate SearchState uses too: int16
+// when it fits (true for every +-1 MaxCut instance incl. K2000) — twice
+// the lanes per vector register of the scalar int32 kernel — int32/int64
+// otherwise.  The choice is an internal optimization; results are
+// identical across widths.
 #pragma once
 
 #include <cstdint>

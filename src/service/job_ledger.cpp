@@ -180,7 +180,7 @@ JobId JobLedger::submit(Admission&& admission) {
   }
 }
 
-void JobLedger::finish(JobId id, std::uint64_t trace_id,
+void JobLedger::finish(JobId id, std::uint64_t transport_id,
                        const std::function<void(Finished&)>& publish) {
   Finished done;
   done.snap = service_.snapshot(id);
@@ -190,6 +190,7 @@ void JobLedger::finish(JobId id, std::uint64_t trace_id,
     if (auto node = in_flight_.extract(id)) job = std::move(node.mapped());
   }
   JobSnapshot& snap = done.snap;
+  snap.report.extras["job_id"] = std::to_string(transport_id);
   // Problem jobs: decode the solved bits into domain terms and verify them
   // against the cached model (a cancelled-while-queued job carries an
   // empty solution — nothing to decode).  A deferred loader may read its
@@ -243,7 +244,7 @@ void JobLedger::finish(JobId id, std::uint64_t trace_id,
   obs::JobTrace trace;
   if (config_.trace) {
     trace = job_trace(snap);
-    trace.job_id = trace_id;
+    trace.job_id = transport_id;
   }
 
   publish(done);

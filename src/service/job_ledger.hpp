@@ -9,7 +9,7 @@
 //   ledger.load(admission);                     // one attempt; may throw
 //   JobId id = ledger.submit(std::move(admission));
 //   ...                                         // the service finishes id
-//   ledger.finish(id, trace_id, publish);
+//   ledger.finish(id, transport_id, publish);
 //
 // admit() makes the `submitted` record durable before any work happens.
 // admit() and submit() journal a terminal `failed` record when they throw;
@@ -113,9 +113,10 @@ class JobLedger {
   /// (unknown solver, bad option) journals `failed` and rethrows.
   JobId submit(Admission&& admission);
   /// Finishes a terminal job (see the header comment); `publish` may move
-  /// from what it is handed, and trace spans carry `trace_id`.  Throws
-  /// std::out_of_range for an id the service lacks.
-  void finish(JobId id, std::uint64_t trace_id,
+  /// from what it is handed.  The report's `job_id` extra and the trace
+  /// spans carry `transport_id`, the id the transport hands its clients.
+  /// Throws std::out_of_range for an id the service lacks.
+  void finish(JobId id, std::uint64_t transport_id,
               const std::function<void(Finished&)>& publish);
 
   SolverService& service() noexcept { return service_; }

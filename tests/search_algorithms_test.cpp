@@ -4,6 +4,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "qubo/search_state.hpp"
 #include "search/cyclicmin.hpp"
@@ -117,6 +118,59 @@ TEST(Straight, BestCoversPathMinimum) {
   EXPECT_LE(probe.best_energy(), m.energy(start));
   EXPECT_LE(probe.best_energy(), m.energy(target));
 }
+
+// Reference walk, O(n) per step: scan every bit and keep the first strict
+// minimum among those still differing from the target.
+std::vector<VarIndex> reference_walk(SearchState& state,
+                                     const BitVector& target) {
+  std::vector<VarIndex> flipped;
+  const auto n = static_cast<VarIndex>(state.size());
+  state.scan();
+  for (;;) {
+    Energy diff_min = std::numeric_limits<Energy>::max();
+    VarIndex diff_arg = n;
+    for (VarIndex k = 0; k < n; ++k) {
+      if (state.solution().get(k) != target.get(k) &&
+          state.delta(k) < diff_min) {
+        diff_min = state.delta(k);
+        diff_arg = k;
+      }
+    }
+    if (diff_arg == n) return flipped;
+    state.flip_and_scan(diff_arg);
+    flipped.push_back(diff_arg);
+  }
+}
+
+class StraightBackend : public ::testing::TestWithParam<QuboBackend> {};
+
+TEST_P(StraightBackend, WordWiseWalkMatchesReferenceWalk) {
+  // n = 130 leaves a 2-bit tail word; small weights make Delta ties
+  // common, so the lowest-index tie-break is exercised.
+  constexpr std::size_t kN = 130;
+  const QuboModel m = random_model(kN, 0.5, 3, 1010, GetParam());
+  Rng rng(11);
+  SearchState walked(m);
+  SearchState reference(m);
+  for (int trial = 0; trial < 20; ++trial) {
+    const BitVector start = random_solution(kN, rng);
+    const BitVector target = random_solution(kN, rng);
+    walked.reset_to(start);
+    reference.reset_to(start);
+    std::vector<VarIndex> flipped;
+    const std::uint64_t flips = straight_walk(walked, target, &flipped);
+    const std::vector<VarIndex> expected = reference_walk(reference, target);
+    ASSERT_EQ(flipped, expected) << "trial " << trial;
+    EXPECT_EQ(flips, expected.size());
+    EXPECT_EQ(walked.solution(), target);
+    EXPECT_EQ(walked.best(), reference.best());
+    EXPECT_EQ(walked.best_energy(), reference.best_energy());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, StraightBackend,
+                         ::testing::Values(QuboBackend::kCsr,
+                                           QuboBackend::kDense));
 
 // All iteration-driven algorithms must perform exactly the requested number
 // of flips and leave the state internally consistent.

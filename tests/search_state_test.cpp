@@ -3,8 +3,12 @@
 // 3-5), and BEST must dominate everything the scans have seen.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 
+#include "qubo/qubo_builder.hpp"
 #include "qubo/search_state.hpp"
 #include "test_helpers.hpp"
 
@@ -96,7 +100,8 @@ TEST(SearchState, Eq4CrossUpdate) {
   for (int trial = 0; trial < 40; ++trial) {
     const auto i = static_cast<VarIndex>(rng.next_index(20));
     const auto& x = s.solution();
-    std::vector<Energy> before(s.deltas().begin(), s.deltas().end());
+    std::vector<Energy> before(20);
+    for (VarIndex k = 0; k < 20; ++k) before[k] = s.delta(k);
     std::vector<int> sig(20);
     for (VarIndex k = 0; k < 20; ++k) sig[k] = sigma(x.get(k));
     s.flip(i);
@@ -215,6 +220,85 @@ TEST(SearchState, ResetReturnsToZeroVector) {
   EXPECT_EQ(s.flip_count(), 0u);
   expect_consistent(s);
 }
+
+// Delta storage width.  The int32 path is taken exactly when
+// QuboModel::delta_bound() <= INT32_MAX; both paths must stay exact.
+
+/// Random flips, fused flip+scans and a reset, checked against a full
+/// recomputation after every step.
+void walk_and_check(SearchState& s, std::uint64_t seed) {
+  const auto n = s.size();
+  Rng rng(seed);
+  s.reset_to(random_solution(n, rng));
+  expect_consistent(s);
+  for (int step = 0; step < 60; ++step) {
+    const auto i = static_cast<VarIndex>(rng.next_index(n));
+    if (step % 2 == 0) {
+      s.flip(i);
+    } else {
+      const ScanResult r = s.flip_and_scan(i);
+      Energy mn = s.delta(0), mx = s.delta(0);
+      for (VarIndex k = 1; k < n; ++k) {
+        mn = std::min(mn, s.delta(k));
+        mx = std::max(mx, s.delta(k));
+      }
+      EXPECT_EQ(r.min_delta, mn);
+      EXPECT_EQ(r.max_delta, mx);
+      EXPECT_EQ(s.delta(r.argmin), mn);
+    }
+    expect_consistent(s);
+  }
+}
+
+class SearchStateWidth : public ::testing::TestWithParam<QuboBackend> {};
+
+TEST_P(SearchStateWidth, Int64DeltaPathIsExact) {
+  // Weights near 2^29 on 16 variables push the bound past int32.
+  const QuboModel m = random_model(16, 1.0, 1 << 29, 45, GetParam());
+  ASSERT_GT(m.delta_bound(),
+            std::uint64_t{std::numeric_limits<std::int32_t>::max()});
+  SearchState s(m);
+  EXPECT_EQ(s.delta_width(), 8u);
+  walk_and_check(s, 46);
+}
+
+TEST_P(SearchStateWidth, BoundAtInt32MaxTakesTheInt32Path) {
+  // Rows 0, 1 and 2 sum to exactly INT32_MAX in absolute value, so
+  // Delta_0 reaches +-INT32_MAX when x1 = x2 = 1.
+  constexpr Weight kHalf = Weight{1} << 30;
+  QuboBuilder b(4);
+  b.set_backend(GetParam());
+  b.add_linear(0, 1);
+  b.add_quadratic(0, 1, kHalf);
+  b.add_quadratic(0, 2, kHalf - 2);
+  b.add_quadratic(1, 2, -(kHalf - 1));
+  b.add_linear(3, -5);
+  b.add_quadratic(2, 3, 2);
+  const QuboModel m = b.build();
+  ASSERT_EQ(m.delta_bound(),
+            std::uint64_t{std::numeric_limits<std::int32_t>::max()});
+  SearchState s(m);
+  EXPECT_EQ(s.delta_width(), 4u);
+  walk_and_check(s, 47);
+
+  BitVector x(4);
+  x.set(1, true);
+  x.set(2, true);
+  s.reset_to(x);
+  EXPECT_EQ(s.delta(0), Energy{std::numeric_limits<std::int32_t>::max()});
+  s.flip(0);
+  EXPECT_EQ(s.delta(0), -Energy{std::numeric_limits<std::int32_t>::max()});
+  expect_consistent(s);
+}
+
+TEST(SearchState, PlusMinusOneMaxCutUsesInt32Deltas) {
+  const QuboModel m = random_model(64, 0.5, 1, 48, QuboBackend::kDense);
+  EXPECT_EQ(SearchState(m).delta_width(), 4u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, SearchStateWidth,
+                         ::testing::Values(QuboBackend::kCsr,
+                                           QuboBackend::kDense));
 
 }  // namespace
 }  // namespace dabs

@@ -1265,7 +1265,12 @@ TEST(SolverService, StatsSnapshotCountsRejectedAndCancelled) {
   SolverService svc(config);
   const auto model = shared_model(10);
 
-  JobSpec blocker = budget_spec(model, "sa", 0, 1);  // runs until cancelled
+  // max_batches 0 alone still stops on sa's own default budget (one
+  // restart of 1000 sweeps), which can beat the cancel below; a 30 s wall
+  // budget over a billion restarts cannot.
+  JobSpec blocker = budget_spec(model, "sa", 0, 1);
+  blocker.stop.time_limit_seconds = 30.0;  // cancelled below
+  blocker.options.set("restarts", "1000000000");
   const JobId blocker_id = svc.submit(std::move(blocker));
   // Fill the one queue slot, then shed.
   std::vector<JobId> queued;

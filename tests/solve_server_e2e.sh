@@ -26,9 +26,16 @@ fail() {
   exit 1
 }
 
-PORT=$(( 20000 + $$ % 20000 ))
-BASE="http://127.0.0.1:$PORT/v1"
 JOURNAL="$WORK/journal.jsonl"
+: > "$WORK/server.err"
+
+# Ports come from 20000-31999, below Linux's ephemeral range (32768-60999),
+# so another process's outgoing connection cannot hold the one we pick.
+pick_port() {
+  PORT=$(( 20000 + (RANDOM + $$) % 12000 ))
+  BASE="http://127.0.0.1:$PORT/v1"
+}
+pick_port
 
 job_body() {  # job_body <seed> <max_batches>
   printf '{"problem": "maxcut", "params": {"n": 24, "m": 60, "seed": %d}, "solver": "sa", "max_batches": %d, "seed": %d, "tag": "e2e%d"}' \
@@ -36,15 +43,29 @@ job_body() {  # job_body <seed> <max_batches>
 }
 
 start_server() {  # start_server [extra args...]
-  "$CLI" serve --port "$PORT" --jobs 2 --journal "$JOURNAL" "$@" \
-    2>> "$WORK/server.err" &
-  SERVER_PID=$!
-  for _ in $(seq 1 100); do
-    if curl -sf "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
-    kill -0 "$SERVER_PID" 2>/dev/null || fail "server died during startup"
-    sleep 0.05
+  # A port someone else already bound is retried on a fresh port; healthz
+  # must answer with our server's pid, not with whatever holds the port.
+  for _ in 1 2 3 4 5; do
+    local seen
+    seen=$(wc -l < "$WORK/server.err")
+    "$CLI" serve --port "$PORT" --jobs 2 --journal "$JOURNAL" "$@" \
+      2>> "$WORK/server.err" &
+    SERVER_PID=$!
+    for _ in $(seq 1 100); do
+      case "$(curl -sf "$BASE/healthz" 2>/dev/null)" in
+        *"\"pid\":$SERVER_PID"[,}]*) return 0 ;;
+      esac
+      kill -0 "$SERVER_PID" 2>/dev/null || break
+      sleep 0.05
+    done
+    kill -0 "$SERVER_PID" 2>/dev/null && fail "server never answered /healthz"
+    wait "$SERVER_PID" 2>/dev/null
+    SERVER_PID=""
+    tail -n +"$(( seen + 1 ))" "$WORK/server.err" \
+      | grep -q "Address already in use" || fail "server died during startup"
+    pick_port
   done
-  fail "server never answered /healthz"
+  fail "no free port after 5 attempts"
 }
 
 wait_state() {  # wait_state <id> <state>

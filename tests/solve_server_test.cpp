@@ -687,5 +687,46 @@ TEST(SolveServerTest, ShardOfModeRejectsForeignKeysAndIds) {
   EXPECT_EQ(client.request("GET", "/v1/jobs/1000").status, 404);
 }
 
+TEST(SolveServerTest, ShardOfModeReportsTheApiJobId) {
+  // The report's job_id extra is the id the client was given, not the
+  // shard-local service id (global id 2k is local id k on shard 0/2).
+  JobApi::Config api = fast_config();
+  api.shard_idx = 0;
+  api.shards = 2;
+  ServerUnderTest server(api);
+  HttpClient client("127.0.0.1", server.port());
+
+  std::vector<std::uint64_t> ids;
+  for (int seed = 0; seed < 16 && ids.size() < 2; ++seed) {
+    const auto reply = client.request("POST", "/v1/jobs", small_job(seed));
+    if (reply.status == 202) {
+      ids.push_back(static_cast<std::uint64_t>(
+          parse(reply.body).find("job_id")->as_int()));
+    }
+  }
+  ASSERT_EQ(ids.size(), 2u);
+  for (const std::uint64_t id : ids) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      const auto status =
+          client.request("GET", "/v1/jobs/" + std::to_string(id));
+      ASSERT_EQ(status.status, 200) << status.body;
+      const io::JsonValue body = parse(status.body);
+      if (body.find("state")->as_string() == "done") {
+        EXPECT_EQ(static_cast<std::uint64_t>(body.find("job_id")->as_int()),
+                  id);
+        const io::JsonValue* extras = body.find("report")->find("extras");
+        ASSERT_NE(extras, nullptr) << status.body;
+        EXPECT_EQ(extras->find("job_id")->as_string(), std::to_string(id))
+            << status.body;
+        break;
+      }
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << status.body;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dabs::net
